@@ -19,6 +19,10 @@ from .operators import OperatorBundle
 from .solver import Spectrum
 
 
+# eigenvectors per chunk in the column-blocked passes over a spectrum
+COLUMN_BLOCK = 512
+
+
 class AnalysisError(Exception):
     """A spectral-analysis precondition failed (degenerate or short data)."""
 
@@ -312,7 +316,13 @@ class LocalizationReport:
 def localization_report(spec: Spectrum, mesh: Mesh,
                         eps: float = 0.01) -> LocalizationReport:
     """Boundary mass fractions, distance profiles, and contour class counts
-    for every eigenpair of a full-mesh spectrum."""
+    for every eigenpair of a full-mesh spectrum.
+
+    Works on COLUMN_BLOCK eigenvectors at a time, so its temporaries stay
+    at (d, COLUMN_BLOCK) whatever the spectrum size.  Each column is summed
+    on its own, in column-major layout, so the result does not depend on
+    the block size.
+    """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if spec.dimension != mesh.num_vertices or not np.array_equal(
@@ -324,21 +334,24 @@ def localization_report(spec: Spectrum, mesh: Mesh,
     dist = boundary_hop_distance(mesh)
     nd = int(dist.max()) + 1
 
-    Phi = spec.eigenvectors
     k = spec.count
-    mass = m[:, None] * Phi * Phi
-    total = mass.sum(axis=0)
-    bmf = mass[mesh.boundary_flags, :].sum(axis=0) / total
-
     hist = np.empty((k, nd))
     counts = np.empty((k, 3), dtype=np.int64)
-    peak = np.max(np.abs(Phi), axis=0)
-    for j in range(k):
-        hist[j] = np.bincount(dist, weights=mass[:, j], minlength=nd) / total[j]
-        v = Phi[:, j] / peak[j] if peak[j] > 0 else Phi[:, j]
-        pos = int(np.count_nonzero(v > eps))
-        neg = int(np.count_nonzero(v < -eps))
-        counts[j] = (len(v) - pos - neg, pos, neg)
+    for lo in range(0, k, COLUMN_BLOCK):
+        hi = min(lo + COLUMN_BLOCK, k)
+        Phi = np.asfortranarray(spec.eigenvectors[:, lo:hi])
+        mass = m[:, None] * Phi * Phi
+        total = mass.sum(axis=0)
+        peak = np.max(np.abs(Phi), axis=0)
+        for j in range(hi - lo):
+            hist[lo + j] = np.bincount(dist, weights=mass[:, j],
+                                       minlength=nd) / total[j]
+            v = Phi[:, j] / peak[j] if peak[j] > 0 else Phi[:, j]
+            pos = int(np.count_nonzero(v > eps))
+            neg = int(np.count_nonzero(v < -eps))
+            counts[lo + j] = (len(v) - pos - neg, pos, neg)
+    # distance 0 is exactly the boundary
+    bmf = hist[:, 0].copy()
 
     return LocalizationReport(
         level=mesh.level, eps=eps, eigenvalues=spec.eigenvalues.copy(),
@@ -348,15 +361,18 @@ def localization_report(spec: Spectrum, mesh: Mesh,
 
 @dataclass(frozen=True)
 class LandscapeVector:
-    """Absolute row sums of L = M^-1 S, one value per operator vertex."""
+    """Absolute row sums of L = M^-1 S, one value per operator vertex;
+    vertex_map[i] is the mesh vertex of values[i]."""
 
     kind: str
     level: int
     c0: float
     values: np.ndarray
+    vertex_map: np.ndarray
 
     def __post_init__(self):
         self.values.setflags(write=False)
+        self.vertex_map.setflags(write=False)
 
 
 def landscape(op: OperatorBundle) -> LandscapeVector:
@@ -369,7 +385,8 @@ def landscape(op: OperatorBundle) -> LandscapeVector:
     """
     row_abs = np.asarray(abs(op.S).sum(axis=1)).ravel()
     return LandscapeVector(kind=op.kind, level=op.level, c0=op.c0,
-                           values=op.inv_m * row_abs)
+                           values=op.inv_m * row_abs,
+                           vertex_map=op.vertex_map)
 
 
 def landscape_closed_forms(level: int, c0: float = 1.0) -> dict[str, float]:
@@ -421,9 +438,8 @@ def landscape_bound_check(spec: Spectrum, u: LandscapeVector,
     Phi = spec.eigenvectors
     skipped = tuple(int(i) + 1 for i in np.flatnonzero(w == 0))
     violations = []
-    block = 512
-    for lo in range(0, spec.count, block):
-        hi = min(lo + block, spec.count)
+    for lo in range(0, spec.count, COLUMN_BLOCK):
+        hi = min(lo + COLUMN_BLOCK, spec.count)
         ww = w[lo:hi]
         P = np.abs(Phi[:, lo:hi])
         P = P / np.max(P, axis=0)

@@ -37,6 +37,7 @@ MESH_KEYS = ("level", "vertices", "triangles", "edges", "boundary_vertices")
 MM_HEADER = "%%MatrixMarket matrix coordinate real symmetric"
 VECTOR_MAGIC = b"SNWV"
 VECTOR_VERSION = 1
+WRITE_BLOCK_BYTES = 1 << 24
 
 
 class FormatError(Exception):
@@ -228,6 +229,8 @@ def write_vectors(values: np.ndarray, meta: dict, path: str | Path) -> Path:
     Layout: magic "SNWV", u32 version, u64 dimension d, u64 count k, then
     k*d little-endian float64 values, vector by vector.  `meta` must carry
     kind, level, c0, normalization and sign_rule; extra keys are kept.
+    The payload is streamed in column blocks of about 16 MB, with no copy
+    at all for a column-major block.
     """
     required = ("kind", "level", "c0", "normalization", "sign_rule")
     missing = [k for k in required if k not in meta]
@@ -245,7 +248,9 @@ def write_vectors(values: np.ndarray, meta: dict, path: str | Path) -> Path:
         f.write(struct.pack("<I", VECTOR_VERSION))
         f.write(struct.pack("<Q", d))
         f.write(struct.pack("<Q", k))
-        f.write(np.ascontiguousarray(arr.T, dtype="<f8").tobytes())
+        step = max(1, WRITE_BLOCK_BYTES // (8 * max(d, 1)))
+        for lo in range(0, k, step):
+            f.write(np.ascontiguousarray(arr[:, lo:lo + step].T, dtype="<f8"))
     sidecar = Path(str(path) + ".json")
     ordered = {key: meta[key] for key in required}
     for key in sorted(meta):
@@ -331,10 +336,11 @@ def write_contour_csv(mesh: Mesh, phi: np.ndarray, eps: float,
 
 
 def write_landscape_csv(vec: LandscapeVector, path: str | Path) -> None:
+    """One row per operator vertex, keyed by its 0-based mesh vertex."""
     with Path(path).open("w", encoding="utf-8", newline="\n") as f:
         f.write("vertex,value\n")
-        for v, val in enumerate(vec.values):
-            f.write(f"{v},{_fmt(val)}\n")
+        for v, val in zip(vec.vertex_map, vec.values):
+            f.write(f"{int(v)},{_fmt(val)}\n")
 
 
 # -- extension -------------------------------------------------------------

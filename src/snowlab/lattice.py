@@ -39,11 +39,18 @@ class MeshInvariantError(Exception):
 
 
 def guard_level() -> int:
-    """Active level guard: SNOWLAB_GUARD_LEVEL env var, else the default."""
+    """Active level guard: SNOWLAB_GUARD_LEVEL env var, else the default.
+
+    Raises ValueError naming the variable when it is not an integer.
+    """
     raw = os.environ.get(GUARD_ENV_VAR)
     if raw is None:
         return DEFAULT_GUARD_LEVEL
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"{GUARD_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def rot60(v: tuple[int, int]) -> tuple[int, int]:

@@ -46,8 +46,10 @@ class OperatorBundle:
 
     S is sparse CSR symmetric.  m holds the vertex measures and inv_m their
     exact reciprocals (integer-valued doubles, exact below 2**53).
-    vertex_map gives, for each operator row, the underlying mesh vertex.
-    Immutable after assembly; safe to share across threads.
+    vertex_map gives, for each operator row, the underlying mesh vertex, and
+    lattice_points its integer lattice coordinates (the solver reads the
+    mesh symmetry from them).  Immutable after assembly; safe to share
+    across threads.
     """
 
     kind: str
@@ -57,9 +59,10 @@ class OperatorBundle:
     m: np.ndarray
     inv_m: np.ndarray
     vertex_map: np.ndarray
+    lattice_points: np.ndarray  # (d, 2) int64, mesh.vertices[vertex_map]
 
     def __post_init__(self):
-        for arr in (self.m, self.inv_m, self.vertex_map):
+        for arr in (self.m, self.inv_m, self.vertex_map, self.lattice_points):
             arr.setflags(write=False)
 
     @property
@@ -144,20 +147,23 @@ def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
         S = _stiffness(len(bidx), bedges, c)
         return OperatorBundle(kind=kind, level=mesh.level, c0=c0, S=S,
                               m=m[bidx].copy(), inv_m=inv_m[bidx].copy(),
-                              vertex_map=bidx.copy())
+                              vertex_map=bidx.copy(),
+                              lattice_points=mesh.vertices[bidx])
 
     c = edge_conductances(mesh, c0)
     S = _stiffness(mesh.num_vertices, mesh.edges, c)
     if kind == "full":
         vmap = np.arange(mesh.num_vertices, dtype=np.int64)
         return OperatorBundle(kind=kind, level=mesh.level, c0=c0, S=S,
-                              m=m, inv_m=inv_m, vertex_map=vmap)
+                              m=m, inv_m=inv_m, vertex_map=vmap,
+                              lattice_points=mesh.vertices)
 
     iidx = mesh.interior_vertices
     S_int = S[iidx][:, iidx].tocsr()
     return OperatorBundle(kind=kind, level=mesh.level, c0=c0, S=S_int,
                           m=m[iidx].copy(), inv_m=inv_m[iidx].copy(),
-                          vertex_map=iidx.copy())
+                          vertex_map=iidx.copy(),
+                          lattice_points=mesh.vertices[iidx])
 
 
 def apply(op: OperatorBundle, u: np.ndarray) -> np.ndarray:

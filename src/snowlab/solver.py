@@ -13,10 +13,16 @@ value is positive (ties within 1e-12 of the max resolved to the lowest
 index).  Tiny negative eigenvalues from roundoff are clamped to zero; the
 operators are positive semidefinite by construction.
 
-The dense path (scipy.linalg.eigh on D) is the reference for dimensions up
-to the guard; the Krylov path (ARPACK with full reorthogonalization of the
-restarted basis) covers extremal windows at larger sizes and is validated
-against the dense path on overlap.
+The dense path covers dimensions up to the guard.  It solves D block by
+block in the D6 symmetry-adapted basis of `snowlab.symmetry`: one
+scipy.linalg.eigh per irrep, with the second partner of each
+two-dimensional irrep taken from the same block solve.  Eigenvalues of a
+partner pair are therefore bit-equal and every pair has a canonical basis,
+so the symmetry-forced degeneracies no longer leave the basis to the
+LAPACK/BLAS internals.  Operators without the symmetry (level 0) are one
+identity block.  The Krylov path (ARPACK with full reorthogonalization of
+the restarted basis) covers extremal windows at larger sizes and is
+validated against the dense path on overlap.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from .operators import OperatorBundle
+from .symmetry import irrep_blocks
 
 DENSE_GUARD_DEFAULT = 6000
 RESIDUAL_TOL_DEFAULT = 1e-8
@@ -57,7 +64,10 @@ class Spectrum:
 
     eigenvalues ascending with repeats; eigenvectors[:, j] is the j-th
     eigenvector on the operator's vertex set, m-normalized and sign-fixed;
-    residuals[j] = ||S phi - lambda M phi||_inf.
+    residuals[j] = ||S phi - lambda M phi||_inf.  irreps[j] names the
+    symmetry block of pair j (A1, A2, B1, B2, E1, E1', E2, E2', or A for an
+    operator solved without symmetry); None when the solver did not use
+    blocks.
     """
 
     kind: str
@@ -68,6 +78,7 @@ class Spectrum:
     residuals: np.ndarray     # (k,)
     vertex_map: np.ndarray    # (d,) mesh vertex index per row
     solver: str
+    irreps: tuple | None = None  # (k,) block tag per pair
 
     def __post_init__(self):
         for arr in (self.eigenvalues, self.eigenvectors, self.residuals,
@@ -90,7 +101,8 @@ class Spectrum:
             self,
             eigenvalues=self.eigenvalues[:k].copy(),
             eigenvectors=self.eigenvectors[:, :k].copy(),
-            residuals=self.residuals[:k].copy())
+            residuals=self.residuals[:k].copy(),
+            irreps=None if self.irreps is None else self.irreps[:k])
 
 
 def symmetrize(op: OperatorBundle) -> sparse.csr_matrix:
@@ -108,8 +120,12 @@ def symmetrize(op: OperatorBundle) -> sparse.csr_matrix:
 
 def _finalize(op: OperatorBundle, w: np.ndarray, Y: np.ndarray,
               solver: str, residual_tol: float,
-              block: int = 1024) -> Spectrum:
-    """Back-transform, normalize, sign-fix, clamp, and check residuals."""
+              irreps: tuple | None = None, block: int = 256) -> Spectrum:
+    """Back-transform, normalize, sign-fix, clamp, and check residuals.
+
+    Y is scratch owned by the caller: the eigenvectors overwrite it column
+    block by column block, so no second (d, k) array is allocated.
+    """
     d_back = np.sqrt(op.inv_m)
 
     scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
@@ -121,7 +137,7 @@ def _finalize(op: OperatorBundle, w: np.ndarray, Y: np.ndarray,
     w = np.where(w < 0.0, 0.0, w)
 
     k = Y.shape[1]
-    Phi = np.empty_like(Y)
+    Phi = Y
     residuals = np.empty(k)
     m = op.m
     S = op.S
@@ -151,21 +167,48 @@ def _finalize(op: OperatorBundle, w: np.ndarray, Y: np.ndarray,
 
     return Spectrum(kind=op.kind, level=op.level, c0=op.c0,
                     eigenvalues=w, eigenvectors=Phi, residuals=residuals,
-                    vertex_map=op.vertex_map, solver=solver)
+                    vertex_map=op.vertex_map, solver=solver, irreps=irreps)
 
 
 def eig_full(op: OperatorBundle, dense_guard: int = DENSE_GUARD_DEFAULT,
              residual_tol: float = RESIDUAL_TOL_DEFAULT) -> Spectrum:
-    """Full spectrum by dense symmetric eigendecomposition of D."""
+    """Full spectrum by dense eigendecomposition of D, one symmetry block
+    at a time.
+
+    Pairs are sorted by eigenvalue; equal eigenvalues keep the block order
+    A1, A2, B1, B2, E1, E1', E2, E2'.  Each block's back-transform is
+    written straight into its sorted columns of one (d, d) array.
+    """
     n = op.dimension
     if n > dense_guard:
         raise DenseGuardError(
             f"dimension {n} exceeds dense guard {dense_guard}; "
             f"use eig_partial for extremal windows")
-    A = symmetrize(op).toarray()
-    w, Y = scipy.linalg.eigh(A, overwrite_a=True, check_finite=False)
-    del A
-    return _finalize(op, w, Y, "dense", residual_tol)
+    D = symmetrize(op)
+    solved = []  # (tag, basis, eigenvalues, block eigenvectors)
+    for blk in irrep_blocks(op):
+        if blk.size == 0:
+            continue
+        A = (blk.basis.T @ (D @ blk.basis)).toarray()
+        w, Y = scipy.linalg.eigh(A, overwrite_a=True, check_finite=False)
+        solved.append((blk.tag, blk.basis, w, Y))
+        if blk.partner is not None:
+            solved.append((blk.partner_tag, blk.partner, w, Y))
+
+    w_all = np.concatenate([w for _, _, w, _ in solved])
+    order = np.argsort(w_all, kind="stable")
+    column = np.empty(n, dtype=np.int64)
+    column[order] = np.arange(n)
+    Phi = np.empty((n, n), order="F")
+    lo = 0
+    for _, Q, w, Y in solved:
+        hi = lo + len(w)
+        Phi[:, column[lo:hi]] = Q @ Y
+        lo = hi
+    tags = np.repeat([tag for tag, _, _, _ in solved],
+                     [len(w) for _, _, w, _ in solved])
+    return _finalize(op, w_all[order], Phi, "dense", residual_tol,
+                     irreps=tuple(tags[order].tolist()))
 
 
 def eig_partial(op: OperatorBundle, k: int, which: str = "smallest",
@@ -178,7 +221,8 @@ def eig_partial(op: OperatorBundle, k: int, which: str = "smallest",
     map to the largest of the inverse); which="largest" runs plain Lanczos.
     A fixed seed for the start vector keeps runs reproducible.  Windows of
     size >= dimension - 1 fall through to the dense path (ARPACK needs
-    k < dimension) and are sliced from it.
+    k < dimension) and are sliced from it, irrep tags included; Krylov
+    results carry no tags.
     """
     n = op.dimension
     if not 1 <= k <= n:
@@ -195,7 +239,8 @@ def eig_partial(op: OperatorBundle, k: int, which: str = "smallest",
                         eigenvectors=full.eigenvectors[:, sl].copy(),
                         residuals=full.residuals[sl].copy(),
                         vertex_map=op.vertex_map,
-                        solver="iterative-dense-fallback")
+                        solver="iterative-dense-fallback",
+                        irreps=full.irreps[sl])
 
     D = symmetrize(op)
     rng = np.random.default_rng(seed)

@@ -1,0 +1,172 @@
+"""Dihedral symmetry of the snowflake operators and its irrep blocks.
+
+For level n >= 1 the mesh is invariant under the twelve lattice maps of the
+dihedral group D6 about the centroid (3**(n-1), 3**(n-1)): the rotations
+r**k, where r(a, b) = (-b, a + b) relative to the centroid turns by 60
+degrees, and the reflections r**k f, with f(a, b) = (b, a).  Each map
+permutes the vertices, and the operators commute with the permutations, so
+in a symmetry-adapted orthonormal basis the symmetrized operator splits
+into one block per irreducible representation (Neuberger, Sieben & Swift,
+J. Comput. Appl. Math. 191, 2006).
+
+Irreps, as matrices D(g) on the generators:
+
+    A1  r -> 1,  f -> 1          B1  r -> -1,  f -> 1
+    A2  r -> 1,  f -> -1         B2  r -> -1,  f -> -1
+    E1  r -> rotation by 60 degrees,  f -> diag(1, -1)
+    E2  r -> rotation by 120 degrees, f -> diag(1, -1)
+
+With T(g) e_p = e_{g p}, the vectors y_ij = sum_g D(g)_ij e_{g p} for an
+orbit representative p satisfy T(h) y_ij = sum_k D(h)_ki y_kj.  So y_1j
+spans the image of the projector P_11 = (d/12) sum_g D(g)_11 T(g) on the
+orbit, and y_2j = P_21 y_1j is its partner in the second row of the same
+two-dimensional irrep.  Orbits have 12, 6 or 1 points (trivial, one
+reflection, or the whole group as stabilizer); the candidates that vanish
+on an orbit, or that repeat one another on a 6-point orbit, are dropped.
+Everything is built from integer lattice permutations: no geometric
+tolerance is involved.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy import sparse
+
+from .operators import OperatorBundle
+
+GROUP_ORDER = 12
+# tag of the single block used when the D6 maps are not symmetries
+TRIVIAL_TAG = "A"
+# a kept candidate vector has norm >= sqrt(6); a vanishing one has norm 0
+_NONZERO = 0.5
+
+# cos and sin of k * 60 degrees, k = 0..5, as exactly as doubles allow
+_COS = np.array([1.0, 0.5, -0.5, -1.0, -0.5, 0.5])
+_SIN = np.sqrt(3.0) / 2.0 * np.array([0.0, 1.0, 1.0, 0.0, -1.0, -1.0])
+
+
+def _irrep_matrices() -> dict[str, np.ndarray]:
+    """(12, d, d) matrices of each irrep; group element g = k is r**k and
+    g = 6 + k is r**k f."""
+    k = np.arange(6)
+    sign = (-1.0) ** k
+    out = {
+        "A1": np.ones(12),
+        "A2": np.concatenate([np.ones(6), -np.ones(6)]),
+        "B1": np.concatenate([sign, sign]),
+        "B2": np.concatenate([sign, -sign]),
+    }
+    out = {tag: chi.reshape(12, 1, 1) for tag, chi in out.items()}
+    for tag, step in (("E1", 1), ("E2", 2)):
+        c, s = _COS[(step * k) % 6], _SIN[(step * k) % 6]
+        rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+        out[tag] = np.concatenate([rot, rot * np.array([1.0, -1.0])])
+    return out
+
+
+IRREPS = _irrep_matrices()
+
+
+@dataclass(frozen=True)
+class IrrepBlock:
+    """Orthonormal basis of one irrep block of the symmetrized operator.
+
+    For a two-dimensional irrep, `basis` spans the first row (the image of
+    P_11) and `partner` = P_21 basis spans the second; the block matrix is
+    the same on both, so one solve serves the pair.
+    """
+
+    tag: str
+    basis: sparse.csc_matrix                   # (d, b)
+    partner_tag: str | None = None
+    partner: sparse.csc_matrix | None = None   # (d, b)
+
+    @property
+    def size(self) -> int:
+        return self.basis.shape[1]
+
+
+def vertex_permutations(op: OperatorBundle) -> np.ndarray | None:
+    """(12, d) array: row g maps each operator row to the row of its image
+    under group element g.  None when the twelve maps do not permute the
+    operator's vertex set or do not leave S and m unchanged (level 0 has
+    only the threefold subgroup, whose centroid is not a lattice point).
+    """
+    # tripled coordinates put the centroid (3**n / 3, 3**n / 3) on the lattice
+    c = 3 ** op.level
+    x = 3 * op.lattice_points[:, 0] - c
+    y = 3 * op.lattice_points[:, 1] - c
+    span = 8 * int(max(np.abs(x).max(initial=0), np.abs(y).max(initial=0))) + 1
+    keys = x * span + y
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+
+    d = op.dimension
+    perms = np.empty((GROUP_ORDER, d), dtype=np.int64)
+    for g in range(GROUP_ORDER):
+        a, b = (x, y) if g < 6 else (y, x)
+        for _ in range(g % 6):
+            a, b = -b, a + b
+        want = a * span + b
+        pos = np.minimum(np.searchsorted(sorted_keys, want), d - 1)
+        if not np.array_equal(sorted_keys[pos], want):
+            return None
+        perms[g] = order[pos]
+
+    for g in (1, 6):  # the generators r and f
+        p = perms[g]
+        if not np.array_equal(op.m[p], op.m) or (op.S[p][:, p] != op.S).nnz:
+            return None
+    return perms
+
+
+def _orbit_vectors(targets: np.ndarray, coef: np.ndarray,
+                   d: int) -> sparse.csc_matrix:
+    """Column c*o + j = sum_g coef[g, j] e_{targets[g, o]} for c = coef.shape[1]
+    candidates per orbit o (repeated targets add up)."""
+    c = coef.shape[1]
+    rows = np.repeat(targets, c, axis=1)
+    cols = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)
+    vals = np.tile(coef, (1, targets.shape[1]))
+    M = sparse.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                          shape=(d, rows.shape[1])).tocsc()
+    M.eliminate_zeros()
+    return M
+
+
+def irrep_blocks(op: OperatorBundle) -> list[IrrepBlock]:
+    """Symmetry-adapted orthonormal blocks in the fixed order A1, A2, B1,
+    B2, E1, E2; a single identity block when D6 is not a symmetry.
+
+    Blocks can be empty (A2 has no vector at level 1).  Columns are
+    ordered by orbit (smallest row first) and, within an orbit, by j.
+    """
+    d = op.dimension
+    perms = vertex_permutations(op)
+    if perms is None:
+        return [IrrepBlock(TRIVIAL_TAG, sparse.identity(d, format="csc"))]
+
+    targets = perms[:, np.unique(perms.min(axis=0))]
+    srt = np.sort(targets, axis=0)
+    free = 1 + np.count_nonzero(np.diff(srt, axis=0), axis=0) == GROUP_ORDER
+
+    blocks = []
+    for tag, D in IRREPS.items():
+        dim = D.shape[1]
+        rows = [_orbit_vectors(targets, D[:, i, :], d) for i in range(dim)]
+        norms = np.sqrt(np.asarray(rows[0].multiply(rows[0]).sum(axis=0)))
+        norms = norms.reshape(-1, dim)
+        # a free orbit carries all dim candidates (orthogonal by Schur);
+        # on a smaller orbit they are parallel or vanish, so keep the
+        # largest one if it does not vanish
+        first = np.arange(dim) == norms.argmax(axis=1)[:, None]
+        keep = (free[:, None] | (first & (norms > _NONZERO))).ravel()
+        scale = sparse.diags(1.0 / norms.ravel()[keep])
+        basis = [(R[:, keep] @ scale).tocsc() for R in rows]
+        if dim == 1:
+            blocks.append(IrrepBlock(tag, basis[0]))
+        else:
+            blocks.append(IrrepBlock(tag, basis[0], tag + "'", basis[1]))
+    return blocks

@@ -1,9 +1,8 @@
 """Shared fixtures.
 
-The two dense level-4 eigendecompositions dominate the suite's runtime
-(about a minute together) and a few hundred MB of eigenvector storage, so
-they are computed once per session and shared by every test that needs
-level-4 data.
+The two level-4 eigendecompositions take a few seconds together and a few
+hundred MB of eigenvector storage, so they are computed once per session
+and shared by every test that needs level-4 data.
 """
 
 import numpy as np

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from snowlab.analysis import (
     landscape,
@@ -24,7 +25,7 @@ from snowlab.analysis import (
 from snowlab.extension import alternating_boundary_data, decay_profile, harmonic_extend
 from snowlab.lattice import build_mesh, validate
 from snowlab.operators import assemble, energy
-from snowlab.solver import eig_full, eig_partial
+from snowlab.solver import eig_full, eig_partial, symmetrize
 
 # Reference eigenvalue tables for the level-4 operators, one decimal place,
 # j = 1..34 (full) and j = 1..13 (Dirichlet restriction).
@@ -232,3 +233,13 @@ def test_criterion_10_harmonic_extension(capsys, mesh3):
            f"alternating-data decay over first 3 shells "
            f"{[round(s, 5) for s in sups]} strictly decreasing: {decay_ok}"
            + (f"; first failures: {failures[:3]}" if failures else ""))
+
+
+def test_block_solver_matches_dense_level4(spec4_full, spec4_dir,
+                                           op4_full, op4_dir):
+    # the symmetry-blocked eig_full against one dense solve of the whole
+    # symmetrized operator
+    for spec, op in ((spec4_full, op4_full), (spec4_dir, op4_dir)):
+        dense = scipy.linalg.eigh(symmetrize(op).toarray(), eigvals_only=True)
+        err = np.abs(spec.eigenvalues - dense) / np.maximum(1.0, np.abs(dense))
+        assert err.max() <= 1e-9, (op.kind, float(err.max()))

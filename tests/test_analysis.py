@@ -17,6 +17,7 @@ from snowlab.analysis import (
     pair_eigenvectors,
     regime_threshold,
 )
+from snowlab import analysis
 from snowlab.analysis import LandscapeVector
 from snowlab.lattice import build_mesh
 from snowlab.operators import assemble
@@ -205,6 +206,15 @@ def test_localization_report(spec2_full, mesh2):
     assert bmf[0] == pytest.approx(m_b / (m_b + m_i), abs=1e-10)
 
 
+def test_localization_blocks_bit_identical(spec2_full, mesh2, monkeypatch):
+    whole = localization_report(spec2_full, mesh2)
+    monkeypatch.setattr(analysis, "COLUMN_BLOCK", 7)
+    parts = localization_report(spec2_full, mesh2)
+    for field in ("boundary_mass_fraction", "distance_histogram",
+                  "contour_counts"):
+        assert np.array_equal(getattr(whole, field), getattr(parts, field))
+
+
 def test_localization_needs_full_mesh(spec2_dir, mesh2):
     with pytest.raises(AnalysisError):
         localization_report(spec2_dir, mesh2)
@@ -244,7 +254,7 @@ def test_bound_check_clean(spec2_full, op2_full):
 def test_bound_check_detects_violations(spec2_full, op2_full):
     u = landscape(op2_full)
     tiny = LandscapeVector(kind=u.kind, level=u.level, c0=u.c0,
-                           values=u.values / 1000.0)
+                           values=u.values / 1000.0, vertex_map=u.vertex_map)
     res = landscape_bound_check(spec2_full, tiny)
     assert not res.ok
     assert len(res.violations) > 0

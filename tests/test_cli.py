@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import snowlab
 from snowlab import fileio
 from snowlab.cli import CLIUsageError, RunConfig, main
+from snowlab.lattice import build_mesh
 
 
 def run(capsys, *argv):
@@ -207,3 +213,46 @@ def test_env_guard_override(capsys, tmp_path, monkeypatch):
                        "--out", str(tmp_path / "e"))
     assert code == 3
     assert "error:resource-guard:" in err
+
+
+def test_env_guard_not_an_integer(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SNOWLAB_GUARD_LEVEL", "abc")
+    code, _, err = run(capsys, "mesh", "--level", "1",
+                       "--out", str(tmp_path / "e"))
+    assert code == 2
+    assert err == ("error:invalid-input:SNOWLAB_GUARD_LEVEL must be an "
+                   "integer, got 'abc'\n")
+
+
+def test_landscape_vertex_column(capsys, tmp_path):
+    out = tmp_path / "ld"
+    code, _, _ = run(capsys, "landscape", "--kind", "dirichlet", "--level",
+                     "3", "--out", str(out))
+    assert code == 0
+    lines = (out / "landscape.csv").read_text().splitlines()
+    assert lines[0] == "vertex,value"
+    vertices = [int(line.split(",")[0]) for line in lines[1:]]
+    assert vertices == build_mesh(3).interior_vertices.tolist()
+
+
+def test_eig_bytes_independent_of_blas_threads(tmp_path):
+    # the degenerate (E-pair) eigenvectors are where a thread-dependent
+    # basis would show
+    src = str(Path(snowlab.__file__).resolve().parent.parent)
+    artifacts = ("eigenvalues.csv", "eigenvectors.snwv",
+                 "eigenvectors.snwv.json")
+    got = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "snowlab", "eig", "--level", "3",
+             "--out", str(out)], env=env, capture_output=True, text=True,
+            timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        got.append({name: (out / name).read_bytes() for name in artifacts})
+    for name in artifacts:
+        assert got[0][name] == got[1][name], name

@@ -134,6 +134,20 @@ def test_vectors_binary_layout(tmp_path):
     assert np.array_equal(payload, [1.0, 2.0, 3.0, 4.0])
 
 
+@pytest.mark.parametrize("order", ("F", "C"))
+def test_vectors_streamed_in_blocks(spec2_full, tmp_path, monkeypatch, order):
+    # several column blocks must give the bytes of one whole-array write
+    arr = np.asarray(spec2_full.eigenvectors, order=order)
+    d, k = arr.shape
+    monkeypatch.setattr(fileio, "WRITE_BLOCK_BYTES", 8 * d * 7)
+    meta = {"kind": "full", "level": 2, "c0": 1.0,
+            "normalization": "x", "sign_rule": "y"}
+    path = tmp_path / "v.snwv"
+    fileio.write_vectors(arr, meta, path)
+    payload = path.read_bytes()[24:]
+    assert payload == np.ascontiguousarray(arr.T, dtype="<f8").tobytes()
+
+
 def test_vectors_bad_magic(tmp_path):
     path = tmp_path / "v.snwv"
     path.write_bytes(b"XXXX" + bytes(20))

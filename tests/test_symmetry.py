@@ -1,0 +1,146 @@
+import numpy as np
+import pytest
+import scipy.linalg
+from scipy import sparse
+
+from snowlab.lattice import build_mesh
+from snowlab.operators import assemble
+from snowlab.solver import eig_full, symmetrize
+from snowlab.symmetry import IRREPS, TRIVIAL_TAG, irrep_blocks
+
+ORDER = ("A1", "A2", "B1", "B2", "E1", "E1'", "E2", "E2'")
+
+
+def lattice_maps(op):
+    """Oracle: the 12 D6 maps as operator-row permutations, by dictionary
+    lookup of lattice points; element k is r**k, element 6 + k is r**k f."""
+    s = 3 ** (op.level - 1)
+    row = {(int(a), int(b)): i for i, (a, b) in enumerate(op.lattice_points)}
+    perms = []
+    for g in range(12):
+        perm = []
+        for a, b in op.lattice_points.tolist():
+            x, y = a - s, b - s
+            if g >= 6:
+                x, y = y, x
+            for _ in range(g % 6):
+                x, y = -y, x + y
+            perm.append(row[(x + s, y + s)])
+        perms.append(np.array(perm))
+    return perms
+
+
+def act(perm, phi):
+    """T(g) phi, with T(g) e_p = e_{g p}."""
+    out = np.empty_like(phi)
+    out[perm] = phi
+    return out
+
+
+def compose(perms):
+    """table[g, h] = index of the element g h."""
+    index = {p.tobytes(): g for g, p in enumerate(perms)}
+    return np.array([[index[perms[g][perms[h]].tobytes()] for h in range(12)]
+                     for g in range(12)])
+
+
+@pytest.mark.parametrize("level", (0, 1, 2, 3))
+@pytest.mark.parametrize("kind", ("full", "dirichlet", "boundary"))
+def test_eig_full_matches_dense(level, kind):
+    op = assemble(build_mesh(level), kind)
+    if op.dimension == 0:
+        return  # no interior vertices at level 0
+    spec = eig_full(op)
+    dense = scipy.linalg.eigh(symmetrize(op).toarray(), eigvals_only=True)
+    err = np.abs(spec.eigenvalues - dense) / np.maximum(1.0, np.abs(dense))
+    assert err.max() <= 1e-9
+    assert len(spec.irreps) == spec.count
+
+
+def test_irreps_are_representations(mesh2):
+    perms = lattice_maps(assemble(mesh2, "full"))
+    table = compose(perms)
+    for tag, D in IRREPS.items():
+        for g in range(12):
+            for h in range(12):
+                assert np.allclose(D[g] @ D[h], D[table[g, h]],
+                                   rtol=0, atol=1e-15), (tag, g, h)
+
+
+def test_level4_block_sizes(op4_full, op4_dir):
+    want = {
+        "full": {"A1": 491, "A2": 436, "B1": 463, "B2": 463,
+                 "E1": 926, "E2": 926},
+        "dirichlet": {"A1": 426, "A2": 373, "B1": 399, "B2": 399,
+                      "E1": 798, "E2": 798},
+    }
+    for op in (op4_full, op4_dir):
+        blocks = irrep_blocks(op)
+        assert {b.tag: b.size for b in blocks} == want[op.kind]
+        assert all(b.partner is None or b.partner.shape == b.basis.shape
+                   for b in blocks)
+
+
+@pytest.mark.parametrize("kind", ("full", "dirichlet", "boundary"))
+def test_basis_orthonormal_and_complete(mesh3, kind):
+    op = assemble(mesh3, kind)
+    cols = []
+    for b in irrep_blocks(op):
+        cols.append(b.basis)
+        if b.partner is not None:
+            cols.append(b.partner)
+    Q = sparse.hstack(cols).toarray()
+    assert Q.shape == (op.dimension, op.dimension)
+    assert np.abs(Q.T @ Q - np.eye(op.dimension)).max() <= 1e-12
+
+
+def test_level0_is_one_identity_block(mesh0):
+    op = assemble(mesh0, "full")
+    (block,) = irrep_blocks(op)
+    assert block.tag == TRIVIAL_TAG and block.partner is None
+    assert np.array_equal(block.basis.toarray(), np.eye(3))
+    assert eig_full(op).irreps == (TRIVIAL_TAG,) * 3
+
+
+def test_level1_empty_block(mesh1):
+    op = assemble(mesh1, "full")
+    sizes = {b.tag: b.size for b in irrep_blocks(op)}
+    assert sizes["A2"] == 0
+    assert "A2" not in eig_full(op).irreps
+
+
+@pytest.mark.parametrize("level", (1, 2, 3))
+@pytest.mark.parametrize("kind", ("full", "dirichlet", "boundary"))
+def test_partner_eigenvalues_bit_equal(level, kind):
+    spec = eig_full(assemble(build_mesh(level), kind))
+    tags = np.array(spec.irreps)
+    for e in ("E1", "E2"):
+        first = spec.eigenvalues[tags == e]
+        assert np.array_equal(first, spec.eigenvalues[tags == e + "'"])
+    # stable order: ties keep the fixed block order
+    rank = np.array([ORDER.index(t) for t in spec.irreps])
+    ties = np.diff(spec.eigenvalues) == 0
+    assert np.all(np.diff(rank)[ties] >= 0)
+
+
+@pytest.mark.parametrize("kind", ("full", "dirichlet", "boundary"))
+def test_eigenvectors_transform_as_tagged(mesh2, kind):
+    op = assemble(mesh2, kind)
+    spec = eig_full(op)
+    perms = lattice_maps(op)
+    for j, tag in enumerate(spec.irreps):
+        phi = spec.eigenvectors[:, j]
+        D = IRREPS[tag.rstrip("'")]
+        r = 1 if tag.endswith("'") else 0
+        # phi is fixed by the projector onto row r of its irrep
+        proj = D.shape[1] / 12 * sum(D[g, r, r] * act(perms[g], phi)
+                                     for g in range(12))
+        assert np.abs(proj - phi).max() <= 1e-9 * np.abs(phi).max(), (j, tag)
+
+
+@pytest.mark.parametrize("kind", ("full", "dirichlet", "boundary"))
+def test_operators_commute_with_the_maps(mesh3, kind):
+    op = assemble(mesh3, kind)
+    for p in lattice_maps(op):
+        assert np.array_equal(op.m[p], op.m)
+        assert (op.S[p][:, p] != op.S).nnz == 0
