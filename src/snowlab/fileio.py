@@ -269,7 +269,8 @@ def write_eigenvectors(spec: Spectrum, path: str | Path) -> Path:
 
 
 def read_vectors(path: str | Path) -> tuple[np.ndarray, dict]:
-    """Return ((d, k) array, sidecar dict); sidecar {} when absent."""
+    """Return ((d, k) column-major array, sidecar dict); sidecar {} when
+    absent."""
     path = Path(path)
     with path.open("rb") as f:
         magic = f.read(4)
@@ -279,10 +280,11 @@ def read_vectors(path: str | Path) -> tuple[np.ndarray, dict]:
         if version != VECTOR_VERSION:
             raise FormatError(f"unsupported version {version}")
         d, k = struct.unpack("<QQ", f.read(16))
-        payload = f.read(8 * d * k)
-        if len(payload) != 8 * d * k:
+        # the payload is vector by vector, which is column-major (d, k):
+        # read it straight into that array
+        arr = np.empty((d, k), dtype="<f8", order="F")
+        if f.readinto(arr.T) != arr.nbytes:
             raise FormatError("truncated vector payload")
-    arr = np.frombuffer(payload, dtype="<f8").reshape(k, d).T.copy()
     sidecar = Path(str(path) + ".json")
     meta: dict = {}
     if sidecar.exists():

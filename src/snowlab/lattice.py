@@ -11,15 +11,21 @@ step, subdivides every triangle into nine and appends one outward triangle
 to the middle third of every boundary edge (an edge that belongs to exactly
 one triangle).  The resulting boundary polygon is the level-n Koch snowflake
 pre-fractal.
+
+Construction, validation and vertex lookup work on int64 arrays: a point is
+keyed by one integer whose order is (a, b) lex order, and deduplication and
+edge counting are np.unique over such keys.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 # Six unit offsets of the triangular lattice, as (da, db).
 NEIGHBOR_OFFSETS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
@@ -28,6 +34,19 @@ DEFAULT_GUARD_LEVEL = 6
 GUARD_ENV_VAR = "SNOWLAB_GUARD_LEVEL"
 
 SQRT3_2 = np.sqrt(3.0) / 2.0
+
+# The nine unit triangles of a side-3 lattice triangle (a, b, c), as (i, j)
+# multipliers of u = (b - a)/3 and v = (c - a)/3 for each corner: the
+# upward (p, p + u, p + v) and, where i + j < 2, downward
+# (p + u, p + u + v, p + v) triangles at p = a + i*u + j*v.
+SUBDIVISION = np.array([
+    [(0, 0), (1, 0), (0, 1)], [(1, 0), (1, 1), (0, 1)],
+    [(0, 1), (1, 1), (0, 2)], [(1, 1), (1, 2), (0, 2)],
+    [(0, 2), (1, 2), (0, 3)],
+    [(1, 0), (2, 0), (1, 1)], [(2, 0), (2, 1), (1, 1)],
+    [(1, 1), (2, 1), (1, 2)],
+    [(2, 0), (3, 0), (2, 1)],
+], dtype=np.int64)
 
 
 class LevelGuardError(Exception):
@@ -87,15 +106,28 @@ class Mesh:
     edges: np.ndarray           # (E, 2) int64, i < j, rows lex-sorted
     edge_is_boundary: np.ndarray  # (E,) bool
     boundary_flags: np.ndarray    # (V,) bool
-    _index: dict = field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         for arr in (self.vertices, self.triangles, self.edges,
                     self.edge_is_boundary, self.boundary_flags):
             arr.setflags(write=False)
-        object.__setattr__(
-            self, "_index",
-            {(int(a), int(b)): i for i, (a, b) in enumerate(self.vertices)})
+
+    @cached_property
+    def _key_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(low corner, span, vertex keys) of the vertices' bounding box;
+        the keys ascend because the vertices are lex-sorted."""
+        return _lex_keys(self.vertices)
+
+    def _lookup(self, points) -> np.ndarray:
+        """Vertex index of each (n, 2) lattice point, -1 where absent."""
+        pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+        lo, span, keys = self._key_frame
+        off = pts - lo
+        key = off[:, 0] * span[1] + off[:, 1]
+        pos = np.searchsorted(keys, key)
+        found = np.all((off >= 0) & (off < span), axis=1) & (pos < len(keys))
+        found[found] = keys[pos[found]] == key[found]
+        return np.where(found, pos, -1)
 
     @property
     def num_vertices(self) -> int:
@@ -120,10 +152,13 @@ class Mesh:
 
     def index_of(self, point: tuple[int, int]) -> int:
         """Vertex index of an exact lattice point; KeyError if absent."""
-        return self._index[(int(point[0]), int(point[1]))]
+        idx = int(self._lookup(point)[0])
+        if idx < 0:
+            raise KeyError((int(point[0]), int(point[1])))
+        return idx
 
     def contains(self, point: tuple[int, int]) -> bool:
-        return (int(point[0]), int(point[1])) in self._index
+        return bool(self._lookup(point)[0] >= 0)
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees in the edge graph."""
@@ -133,67 +168,71 @@ class Mesh:
         return deg
 
 
-def _subdivide(tri, out):
-    """Split one side-3 lattice triangle into nine unit triangles."""
-    a, b, c = tri
-    u = ((b[0] - a[0]) // 3, (b[1] - a[1]) // 3)
-    v = ((c[0] - a[0]) // 3, (c[1] - a[1]) // 3)
-    for i in range(3):
-        for j in range(3 - i):
-            p = (a[0] + i * u[0] + j * v[0], a[1] + i * u[1] + j * v[1])
-            q = (p[0] + u[0], p[1] + u[1])
-            r = (p[0] + v[0], p[1] + v[1])
-            out.append((p, q, r))
-            if i + j < 2:
-                s = (q[0] + v[0], q[1] + v[1])
-                out.append((q, s, r))
+def _lex_keys(points: np.ndarray):
+    """One int64 key per (a, b) point whose order is (a, b) lex order.
 
-
-def _boundary_edges_oriented(tris):
-    """Boundary edges of a triangle list, oriented with the interior on the left.
-
-    Returns a list of (p, q) lattice-point pairs such that the unique triangle
-    containing the edge lies on the left of p -> q.
+    Returns (low corner, span, keys) with key = (a - a0) * span_b + (b - b0).
     """
-    count: dict = {}
-    for tri in tris:
-        for k in range(3):
-            p, q = tri[k], tri[(k + 1) % 3]
-            key = (p, q) if p < q else (q, p)
-            entry = count.get(key)
-            if entry is None:
-                count[key] = [1, tri[(k + 2) % 3]]
-            else:
-                entry[0] += 1
-    oriented = []
-    for (p, q), (n, r) in count.items():
-        if n == 1:
-            d = (q[0] - p[0], q[1] - p[1])
-            w = (r[0] - p[0], r[1] - p[1])
-            if cross(d, w) > 0:
-                oriented.append((p, q))
-            else:
-                oriented.append((q, p))
-    return oriented
+    pts = points.reshape(-1, 2)
+    if len(pts) == 0:
+        return (np.zeros(2, dtype=np.int64), np.ones(2, dtype=np.int64),
+                np.zeros(0, dtype=np.int64))
+    a, b = pts[:, 0], pts[:, 1]
+    lo = np.array([a.min(), b.min()])
+    span = np.array([a.max(), b.max()]) - lo + 1
+    if int(span[0]) * int(span[1]) >= 2**63:
+        raise ValueError("lattice coordinates span too wide for int64 keys")
+    key = a - lo[0]
+    key *= span[1]
+    key += b
+    key -= lo[1]
+    return lo, span, key
 
 
-def _refine(tris):
+def _subdivide(tris: np.ndarray) -> np.ndarray:
+    """Split (T, 3, 2) side-3 lattice triangles into (9T, 3, 2) unit ones."""
+    a = tris[:, 0]
+    u = (tris[:, 1] - a) // 3
+    v = (tris[:, 2] - a) // 3
+    i = SUBDIVISION[None, :, :, 0, None]
+    j = SUBDIVISION[None, :, :, 1, None]
+    out = (a[:, None, None] + i * u[:, None, None]
+           + j * v[:, None, None])
+    return out.reshape(-1, 3, 2)
+
+
+def _boundary_edges_oriented(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary edges of (T, 3, 2) unit triangles, interior on the left.
+
+    Returns (p, q) as two (B, 2) arrays such that the unique triangle
+    containing each edge lies on the left of p -> q.
+    """
+    p = tris.reshape(-1, 2)                       # corner k of each triangle
+    q = np.roll(tris, -1, axis=1).reshape(-1, 2)  # corner k + 1
+    r = np.roll(tris, -2, axis=1).reshape(-1, 2)  # the opposite corner
+    # a unit lattice edge is fixed by the sum of its ends: the parity of the
+    # sum gives the offset up to sign, so the sum keys the undirected edge
+    _, _, key = _lex_keys(p + q)
+    _, first, count = np.unique(key, return_index=True, return_counts=True)
+    once = first[count == 1]
+    p, q, r = p[once], q[once], r[once]
+    d, w = q - p, r - p
+    flip = d[:, 0] * w[:, 1] - d[:, 1] * w[:, 0] < 0  # cross(d, w) < 0
+    return np.where(flip[:, None], q, p), np.where(flip[:, None], p, q)
+
+
+def _refine(tris: np.ndarray) -> np.ndarray:
     """One inductive step: scale by 3, subdivide into nine, append outward
     triangles on the middle thirds of the previous boundary edges."""
-    boundary = _boundary_edges_oriented(tris)
-    scaled = [tuple((3 * p[0], 3 * p[1]) for p in tri) for tri in tris]
-    out: list = []
-    for tri in scaled:
-        _subdivide(tri, out)
-    for p, q in boundary:
-        d = (q[0] - p[0], q[1] - p[1])  # unit vector at the new scale
-        u = (3 * p[0] + d[0], 3 * p[1] + d[1])
-        v = (u[0] + d[0], u[1] + d[1])
-        # interior is on the left of p -> q, so the outward apex is on the right
-        w_off = rot_minus60(d)
-        w = (u[0] + w_off[0], u[1] + w_off[1])
-        out.append((u, v, w))
-    return out
+    p, q = _boundary_edges_oriented(tris)
+    d = q - p  # unit vector at the new scale
+    u = 3 * p + d
+    v = u + d
+    # interior is on the left of p -> q, so the outward apex is on the right:
+    # w = u + rot_minus60(d)
+    w = u + np.stack((d[:, 0] + d[:, 1], -d[:, 0]), axis=1)
+    outward = np.stack((u, v, w), axis=1)
+    return np.concatenate((_subdivide(3 * tris), outward))
 
 
 def build_mesh(level: int, guard: int | None = None) -> Mesh:
@@ -215,29 +254,28 @@ def build_mesh(level: int, guard: int | None = None) -> Mesh:
             f"level {level} exceeds guard {limit}; "
             f"raise {GUARD_ENV_VAR} to proceed")
 
-    tris = [((0, 0), (1, 0), (0, 1))]
+    tris = np.array([[(0, 0), (1, 0), (0, 1)]], dtype=np.int64)
     for _ in range(level):
         tris = _refine(tris)
 
-    point_set = sorted({p for tri in tris for p in tri})
-    index = {p: i for i, p in enumerate(point_set)}
-    vertices = np.array(point_set, dtype=np.int64)
+    lo, span, key = _lex_keys(tris)
+    ukey, inverse = np.unique(key, return_inverse=True)
+    del key, tris
+    vertices = np.stack(np.divmod(ukey, span[1]), axis=1) + lo
+    nv = len(vertices)
 
-    tri_idx = np.array(
-        sorted(tuple(sorted(index[p] for p in tri)) for tri in tris),
-        dtype=np.int64)
+    tri_idx = np.sort(inverse.reshape(-1, 3), axis=1)
+    del inverse
+    tri_idx = tri_idx[np.lexsort(tri_idx.T[::-1])]
 
-    edge_count: dict = {}
-    for tri in tris:
-        i, j, k = sorted(index[p] for p in tri)
-        for e in ((i, j), (i, k), (j, k)):
-            edge_count[e] = edge_count.get(e, 0) + 1
-    edge_list = sorted(edge_count)
-    edges = np.array(edge_list, dtype=np.int64)
-    edge_is_boundary = np.array(
-        [edge_count[e] == 1 for e in edge_list], dtype=bool)
+    i, j, k = tri_idx.T
+    ekey, count = np.unique(np.concatenate((i * nv + j, i * nv + k,
+                                            j * nv + k)),
+                            return_counts=True)
+    edges = np.stack(np.divmod(ekey, nv), axis=1)
+    edge_is_boundary = count == 1
 
-    boundary_flags = np.zeros(len(vertices), dtype=bool)
+    boundary_flags = np.zeros(nv, dtype=bool)
     boundary_flags[edges[edge_is_boundary].ravel()] = True
 
     return Mesh(level=level, vertices=vertices, triangles=tri_idx,
@@ -270,22 +308,8 @@ def neighbors(mesh: Mesh, v: int) -> list[int]:
     """Mesh vertices at lattice distance 1 from v, ascending."""
     if not 0 <= v < mesh.num_vertices:
         raise IndexError(f"vertex index {v} out of range")
-    a, b = (int(x) for x in mesh.vertices[v])
-    found = []
-    for da, db in NEIGHBOR_OFFSETS:
-        idx = mesh._index.get((a + da, b + db))
-        if idx is not None:
-            found.append(idx)
-    return sorted(found)
-
-
-def adjacency_lists(mesh: Mesh) -> list[list[int]]:
-    """Adjacency lists over mesh edges (both directions)."""
-    adj: list[list[int]] = [[] for _ in range(mesh.num_vertices)]
-    for i, j in mesh.edges:
-        adj[i].append(int(j))
-        adj[j].append(int(i))
-    return adj
+    idx = mesh._lookup(mesh.vertices[v] + np.array(NEIGHBOR_OFFSETS))
+    return sorted(idx[idx >= 0].tolist())
 
 
 def boundary_cycle(mesh: Mesh) -> np.ndarray:
@@ -329,22 +353,21 @@ def boundary_cycle(mesh: Mesh) -> np.ndarray:
 def boundary_hop_distance(mesh: Mesh) -> np.ndarray:
     """Graph hop distance from each vertex to the nearest boundary vertex.
 
-    Multi-source BFS over mesh edges; purely combinatorial.
+    One unweighted shortest-path search over mesh edges from a virtual
+    source joined to every boundary vertex; purely combinatorial.
+    Vertices that no boundary vertex reaches get -1.
     """
-    adj = adjacency_lists(mesh)
-    dist = np.full(mesh.num_vertices, -1, dtype=np.int64)
-    frontier = [int(v) for v in mesh.boundary_vertices]
-    dist[frontier] = 0
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
+    src = mesh.num_vertices
+    bv = mesh.boundary_vertices
+    i = np.concatenate((mesh.edges[:, 0], np.full(len(bv), src)))
+    j = np.concatenate((mesh.edges[:, 1], bv))
+    graph = sparse.csr_matrix((np.ones(len(i), dtype=np.int8), (i, j)),
+                              shape=(src + 1, src + 1))
+    hops = csgraph.shortest_path(graph, method="D", directed=False,
+                                 unweighted=True, indices=src)[:src]
+    dist = np.full(src, -1, dtype=np.int64)
+    reached = np.isfinite(hops)
+    dist[reached] = hops[reached].astype(np.int64) - 1
     return dist
 
 
@@ -382,38 +405,62 @@ def validate(mesh: Mesh) -> ValidationReport:
     def add(name, passed, detail=""):
         checks.append(InvariantCheck(name, bool(passed), detail))
 
-    # vertex order and uniqueness
-    order = np.lexsort((mesh.vertices[:, 1], mesh.vertices[:, 0]))
-    sorted_ok = np.array_equal(order, np.arange(mesh.num_vertices))
-    uniq = len({tuple(p) for p in mesh.vertices.tolist()}) == mesh.num_vertices
-    add("vertices lex-sorted and unique", sorted_ok and uniq)
+    # vertex order and uniqueness: each row strictly after the one before
+    a, b = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    ahead = (a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1]))
+    bad = np.flatnonzero(~ahead) + 1
+    add("vertices lex-sorted and unique", bad.size == 0,
+        f"vertices {bad[:5].tolist()}")
 
-    # every edge has lattice length 1
+    # every edge has lattice length 1: the unit offsets are the (da, db) in
+    # {-1, 0, 1}^2 with da != db
     diff = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-    offsets = {tuple(o) for o in NEIGHBOR_OFFSETS}
-    bad = [k for k, d in enumerate(diff.tolist()) if tuple(d) not in offsets]
-    add("all edges have lattice length 1", not bad,
-        f"bad edges {bad[:5]}" if bad else "")
+    near = np.all((diff >= -1) & (diff <= 1), axis=1)
+    bad = np.flatnonzero(~near | (diff[:, 0] == diff[:, 1]))
+    add("all edges have lattice length 1", bad.size == 0,
+        f"bad edges {bad[:5].tolist()}" if bad.size else "")
 
-    # edge membership counts: boundary edges in 1 triangle, others in 2
-    count: dict = {}
-    for i, j, k in mesh.triangles.tolist():
-        for e in ((i, j), (i, k), (j, k)):
-            count[e] = count.get(e, 0) + 1
-    bad_b, bad_i, missing = [], [], []
-    for idx, (i, j) in enumerate(mesh.edges.tolist()):
-        c = count.pop((i, j), 0)
-        if c == 0:
-            missing.append(idx)
-        elif mesh.edge_is_boundary[idx] and c != 1:
-            bad_b.append(idx)
-        elif not mesh.edge_is_boundary[idx] and c != 2:
-            bad_i.append(idx)
-    extra = list(count)
+    # edge membership counts: boundary edges in 1 triangle, others in 2.
+    # Triangle edges are taken as (i, j), (i, k), (j, k) in row order.
+    t, e, base = mesh.triangles, mesh.edges, mesh.num_vertices
+    if not all(x.size == 0 or (x.min() >= 0 and x.max() < base)
+               for x in (t, e)):
+        # indices out of range: key their ranks instead
+        rank = np.unique(np.concatenate((t.ravel(), e.ravel())),
+                         return_inverse=True)[1]
+        t, e = rank[:t.size].reshape(-1, 3), rank[t.size:].reshape(-1, 2)
+        base = int(rank.max()) + 1
+    tkey = np.stack((t[:, 0] * base + t[:, 1], t[:, 0] * base + t[:, 2],
+                     t[:, 1] * base + t[:, 2]), axis=1).ravel()
+    ekey = e[:, 0] * base + e[:, 1]
+    ukey, first, count = np.unique(tkey, return_index=True,
+                                   return_counts=True)
+    pos = np.searchsorted(ukey, ekey)
+    hit = pos < len(ukey)
+    hit[hit] = ukey[pos[hit]] == ekey[hit]
+    if not np.all(ekey[1:] > ekey[:-1]):
+        # a repeated edge row: only its first occurrence takes the count
+        once = np.zeros(len(ekey), dtype=bool)
+        once[np.unique(ekey, return_index=True)[1]] = True
+        hit &= once
+    c = np.zeros(len(ekey), dtype=np.int64)
+    c[hit] = count[pos[hit]]
+    eib = mesh.edge_is_boundary
+    missing = np.flatnonzero(c == 0)
+    bad_b = np.flatnonzero((c > 0) & eib & (c != 1))
+    bad_i = np.flatnonzero((c > 0) & ~eib & (c != 2))
+    tracked = np.zeros(len(ukey), dtype=bool)
+    tracked[pos[hit]] = True
+    # untracked triangle edges in order of first appearance
+    where = np.sort(first[~tracked])
+    ends = np.array([[0, 1], [0, 2], [1, 2]])[where % 3]
+    rows = mesh.triangles[where // 3]
+    extra = np.take_along_axis(rows, ends, axis=1)
     add("edges belong to 1 (boundary) or 2 (interior) triangles",
-        not (bad_b or bad_i or missing or extra),
-        f"boundary {bad_b[:5]}, interior {bad_i[:5]}, "
-        f"missing {missing[:5]}, untracked {extra[:5]}")
+        not (bad_b.size or bad_i.size or missing.size or len(extra)),
+        f"boundary {bad_b[:5].tolist()}, interior {bad_i[:5].tolist()}, "
+        f"missing {missing[:5].tolist()}, "
+        f"untracked {[tuple(p) for p in extra[:5].tolist()]}")
 
     # boundary census
     n_bv = mesh.num_boundary_vertices

@@ -170,6 +170,15 @@ def _finalize(op: OperatorBundle, w: np.ndarray, Y: np.ndarray,
                     vertex_map=op.vertex_map, solver=solver, irreps=irreps)
 
 
+def _require_rows(op: OperatorBundle) -> None:
+    """Reject an operator with no rows: the Dirichlet operator of a mesh
+    without interior vertices (level 0)."""
+    if op.dimension == 0:
+        raise ValueError(
+            f"the {op.kind} operator at level {op.level} has no rows: "
+            f"the mesh has no interior vertex")
+
+
 def eig_full(op: OperatorBundle, dense_guard: int = DENSE_GUARD_DEFAULT,
              residual_tol: float = RESIDUAL_TOL_DEFAULT) -> Spectrum:
     """Full spectrum by dense eigendecomposition of D, one symmetry block
@@ -179,6 +188,7 @@ def eig_full(op: OperatorBundle, dense_guard: int = DENSE_GUARD_DEFAULT,
     A1, A2, B1, B2, E1, E1', E2, E2'.  Each block's back-transform is
     written straight into its sorted columns of one (d, d) array.
     """
+    _require_rows(op)
     n = op.dimension
     if n > dense_guard:
         raise DenseGuardError(
@@ -224,6 +234,7 @@ def eig_partial(op: OperatorBundle, k: int, which: str = "smallest",
     k < dimension) and are sliced from it, irrep tags included; Krylov
     results carry no tags.
     """
+    _require_rows(op)
     n = op.dimension
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")

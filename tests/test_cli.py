@@ -83,6 +83,17 @@ def test_eig_zero_mode(capsys, tmp_path):
     assert meta["kind"] == "full"
 
 
+@pytest.mark.parametrize("solver", ["dense", "iterative"])
+def test_eig_empty_operator(capsys, tmp_path, solver):
+    # the level-0 mesh has no interior vertex, so Dirichlet has no rows
+    code, _, err = run(capsys, "eig", "--level", "0", "--kind", "dirichlet",
+                       "--solver", solver, "--k", "1",
+                       "--out", str(tmp_path / "e"))
+    assert code == 2
+    assert err == ("error:invalid-input:the dirichlet operator at level 0 "
+                   "has no rows: the mesh has no interior vertex\n")
+
+
 def test_eig_iterative(capsys, tmp_path):
     out = tmp_path / "ei"
     code, stdout, _ = run(capsys, "eig", "--level", "2", "--solver",

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,24 @@ def test_vectors_streamed_in_blocks(spec2_full, tmp_path, monkeypatch, order):
     fileio.write_vectors(arr, meta, path)
     payload = path.read_bytes()[24:]
     assert payload == np.ascontiguousarray(arr.T, dtype="<f8").tobytes()
+
+
+def test_vectors_read_in_place(tmp_path):
+    # one F-ordered array receives the payload: no second copy
+    values = np.random.default_rng(3).standard_normal((2000, 300))
+    meta = {"kind": "full", "level": 3, "c0": 1.0,
+            "normalization": "x", "sign_rule": "y"}
+    path = tmp_path / "v.snwv"
+    fileio.write_vectors(values, meta, path)
+    tracemalloc.start()
+    try:
+        arr, _ = fileio.read_vectors(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert arr.flags.f_contiguous
+    assert np.array_equal(arr, values)
+    assert peak <= 1.1 * values.nbytes
 
 
 def test_vectors_bad_magic(tmp_path):

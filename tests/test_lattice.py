@@ -1,4 +1,5 @@
-import os
+import hashlib
+from collections import deque
 
 import numpy as np
 import pytest
@@ -164,6 +165,25 @@ def test_boundary_matches_polygon_oracle(level):
     assert got == rotated
 
 
+def _bfs_hops(mesh):
+    """Hop distance to the boundary by a plain multi-source BFS."""
+    adj = [[] for _ in range(mesh.num_vertices)]
+    for i, j in mesh.edges.tolist():
+        adj[i].append(j)
+        adj[j].append(i)
+    dist = [-1] * mesh.num_vertices
+    queue = deque(mesh.boundary_vertices.tolist())
+    for v in queue:
+        dist[v] = 0
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return np.array(dist, dtype=np.int64)
+
+
 def test_hop_distance(mesh3):
     dist = boundary_hop_distance(mesh3)
     assert np.all(dist[mesh3.boundary_flags] == 0)
@@ -171,6 +191,12 @@ def test_hop_distance(mesh3):
     # 1-Lipschitz along edges
     diff = np.abs(dist[mesh3.edges[:, 0]] - dist[mesh3.edges[:, 1]])
     assert diff.max() <= 1
+    # exact distances against a plain BFS
+    for level in range(5):
+        mesh = build_mesh(level)
+        dist = boundary_hop_distance(mesh)
+        assert dist.dtype == np.int64
+        assert np.array_equal(dist, _bfs_hops(mesh))
 
 
 def test_level_guard():
@@ -197,3 +223,132 @@ def test_negative_level_rejected():
 def test_mesh_arrays_read_only(mesh1):
     with pytest.raises(ValueError):
         mesh1.vertices[0, 0] = 99
+
+
+# SHA-256 of the raw bytes of vertices, triangles, edges, edge_is_boundary and
+# boundary_flags, recorded from the dictionary-based construction that
+# preceded the array code.  Any change to the mesh output shows here.
+MESH_DIGESTS = {
+    0: (
+        "d54022a95f8cd0423895774b4da8dc324ffbe972d9dd8a43cc00329157cbee52",
+        "ab25350e3e65efebe24584461683ecda68725576e825e550038b90e7b1479946",
+        "79804fd0053199256af1dee6baa3c44ee78fc1c597da9105d41e7d1fca910d6b",
+        "75c8fd04ad916aec3e3d5cb76a452b116b3d4d0912a0a485e9fb8e3d240e210c",
+        "75c8fd04ad916aec3e3d5cb76a452b116b3d4d0912a0a485e9fb8e3d240e210c",
+    ),
+    1: (
+        "8caec317a28661ac7821e37fc66df505ffb86ea1efea6348aa4696bff1122d48",
+        "27d4320e0fcd291d7c848d4a705f9ebecd9fdbdbdff340f6edb77fe8f84f5e64",
+        "1a075650a48411e850b132dec95bfddcc9d726bb4a893992678c0563ad4adddc",
+        "cb84d63ca546321678e28c86e124882781c5bcfd42fdc27c9279b20fe4f45191",
+        "92073ebcbb9c5509e08e0dd41cbbc4fec114babb31ca3f518997b8d5b74e51ba",
+    ),
+    2: (
+        "ee4c805df5380d1d64a21bf096bef83d3858897f363de82a82c37abac17c743e",
+        "4c342a6f659e9360f242f6458e381aec106a358e0591da6105fa5f99f8539917",
+        "168266b763a68f9d4153b4aa8a65d19ab5f1c51841d340f193f5fefb2b5851f7",
+        "8fede8f01616d42b514316537eb2e4989b519ea000e9abdf9b104c7ca773e9ad",
+        "bf59d87e945d9d0cf9b101043c0363ea2427295db26eaf8f41e4f563d085d1b9",
+    ),
+    3: (
+        "505e1551b8bfc45833c48330c16dfb165ac2271d74f669d9e8370d666a24d123",
+        "1386519b3610f0b03f0422e732f3c273096429082e60f1fd623e71b7dbb9a6e8",
+        "174912675704baf6dd5a467a9fcec652719cb88b6007c8a60dc8e33d42d6ba9f",
+        "4fce760b01c7e8f14d2e7f3fa612e5a0c17da005ec4880dcf091895a50fec4b2",
+        "a389b9087988e85fc9e2f6cfc2e2f6041539b5d70293ee373190fb4b06976bee",
+    ),
+    4: (
+        "f1df002a30fa0c5fd154e8fdc1c563fa51dfd7b53b365a7b0749b6a6c13c790c",
+        "104b2a45f45c49af40bfe27bddf52d32d7790c6d003523ca410fd9e488aed971",
+        "cc9c7c72847bc4ee13a748ceb7d598fcf9eb8fc6334b037d40bda3abbff3bfe2",
+        "8ad96bbfcfe45534b9d5dbd47b328f6512b7cf0a463f38c2adfa600f99f4d946",
+        "43c30490e3f826da1d100177e7d2b2a5f6d48d602c12812f25c80bc3034d2bb2",
+    ),
+    5: (
+        "56e1016b38b7d36159bfd8db94afd1de8d6ffb4c134a54b15019e8b9c33f1a74",
+        "e1be03d5a318a1d3abb1f572e9e351b424645b2515a63461fb827c79192de822",
+        "3a1d66aacb6646536ea93ac976c448d9fbec2c807f40f47c7e1933f662a5fc81",
+        "d75e242ad922e9aabaa96b8c9dc43ba95e58c3fbf7effe76e0e691e9ff987256",
+        "99d5e0f667506c74d34d4638a5c6136fdc90379175a0345ddcb7f084c932197d",
+    ),
+}
+
+
+@pytest.mark.parametrize("level", sorted(MESH_DIGESTS))
+def test_mesh_output_pinned(level):
+    mesh = build_mesh(level)
+    arrays = (mesh.vertices, mesh.triangles, mesh.edges,
+              mesh.edge_is_boundary, mesh.boundary_flags)
+    assert [a.dtype for a in arrays] == [np.int64] * 3 + [np.bool_] * 2
+    assert all(a.flags.c_contiguous for a in arrays)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+    assert got == MESH_DIGESTS[level]
+
+
+def test_index_lookup_absent_points(mesh2):
+    # every lattice point next to the mesh, including points just outside
+    # its bounding box, is found exactly when it is a vertex
+    present = {tuple(p) for p in mesh2.vertices.tolist()}
+    for a, b in mesh2.vertices.tolist():
+        for da, db in ((0, 0), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1),
+                       (1, -1), (2, 0), (0, -2)):
+            p = (a + da, b + db)
+            assert mesh2.contains(p) == (p in present)
+            if p in present:
+                assert tuple(mesh2.vertices[mesh2.index_of(p)]) == p
+            else:
+                with pytest.raises(KeyError):
+                    mesh2.index_of(p)
+
+
+def _corrupt(mesh, kind):
+    """A copy of `mesh` with one defect, the check it must fail and the
+    failure detail that names the corrupted index."""
+    v, t, e = mesh.vertices.copy(), mesh.triangles.copy(), mesh.edges.copy()
+    eib, bf = mesh.edge_is_boundary.copy(), mesh.boundary_flags.copy()
+    if kind == "duplicate-vertex":
+        v[10] = v[9]
+        check, detail = "vertices lex-sorted and unique", "vertices [10]"
+    elif kind == "edge-length-2":
+        # reroute edge k to the vertex two steps along +a from its start
+        for k, (i, j) in enumerate(e.tolist()):
+            far = (int(v[i, 0]) + 2, int(v[i, 1]))
+            if mesh.contains(far) and mesh.index_of(far) > i:
+                e[k, 1] = mesh.index_of(far)
+                break
+        check, detail = "all edges have lattice length 1", f"bad edges [{k}]"
+    elif kind == "dropped-triangle":
+        i, j, k = t[50].tolist()
+        t = np.delete(t, 50, axis=0)
+        rows = {tuple(r): n for n, r in enumerate(e.tolist())}
+        hit = sorted(rows[p] for p in ((i, j), (i, k), (j, k)))
+        interior = [n for n in hit if not eib[n]]
+        missing = [n for n in hit if eib[n]]
+        check = "edges belong to 1 (boundary) or 2 (interior) triangles"
+        detail = (f"boundary [], interior {interior}, missing {missing}, "
+                  f"untracked []")
+    elif kind == "boundary-edge-flag":
+        k = int(np.flatnonzero(~eib)[7])
+        eib[k] = True
+        check = "edges belong to 1 (boundary) or 2 (interior) triangles"
+        detail = f"boundary [{k}], interior [], missing [], untracked []"
+    elif kind == "boundary-vertex-flag":
+        w = int(np.flatnonzero(~bf)[3])
+        bf[w] = True
+        check = "boundary flags match boundary edge endpoints"
+        detail = f"vertices [{w}]"
+    bad = Mesh(level=mesh.level, vertices=v, triangles=t, edges=e,
+               edge_is_boundary=eib, boundary_flags=bf)
+    return bad, check, detail
+
+
+@pytest.mark.parametrize("kind", ["duplicate-vertex", "edge-length-2",
+                                  "dropped-triangle", "boundary-edge-flag",
+                                  "boundary-vertex-flag"])
+def test_validate_detects_corruption(mesh2, kind):
+    bad, check, detail = _corrupt(mesh2, kind)
+    report = validate(bad)
+    assert not report.ok
+    failed = {c.name: c.detail for c in report.failures()}
+    assert check in failed, str(report)
+    assert failed[check] == detail
