@@ -82,14 +82,15 @@ def write_json(obj: dict, path: str | Path) -> None:
 def write_mesh_json(mesh: Mesh, path: str | Path) -> None:
     """One top-level key per line; arrays in compact JSON on that line."""
     compact = {"separators": (",", ":")}
-    edges = [[int(i), int(j), "b" if b else "i"]
-             for (i, j), b in zip(mesh.edges, mesh.edge_is_boundary)]
+    edges = np.empty((len(mesh.edges), 3), dtype=object)
+    edges[:, :2] = mesh.edges
+    edges[:, 2] = np.where(mesh.edge_is_boundary, "b", "i")
     with Path(path).open("w", encoding="utf-8", newline="\n") as f:
         f.write("{\n")
         f.write(f'"level": {mesh.level},\n')
         f.write(f'"vertices": {json.dumps(mesh.vertices.tolist(), **compact)},\n')
         f.write(f'"triangles": {json.dumps(mesh.triangles.tolist(), **compact)},\n')
-        f.write(f'"edges": {json.dumps(edges, **compact)},\n')
+        f.write(f'"edges": {json.dumps(edges.tolist(), **compact)},\n')
         bv = mesh.boundary_vertices.tolist()
         f.write(f'"boundary_vertices": {json.dumps(bv, **compact)}\n')
         f.write("}\n")
@@ -107,14 +108,14 @@ def read_mesh_json(path: str | Path) -> Mesh:
     try:
         vertices = np.asarray(data["vertices"], dtype=np.int64).reshape(-1, 2)
         triangles = np.asarray(data["triangles"], dtype=np.int64).reshape(-1, 3)
-        raw_edges = data["edges"]
-        edges = np.asarray([[e[0], e[1]] for e in raw_edges], dtype=np.int64)
-        tags = [e[2] for e in raw_edges]
+        raw_edges = np.array(data["edges"], dtype=object)
+        edges = raw_edges[:, :2].astype(np.int64)
+        tags = raw_edges[:, 2]
     except (TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"malformed mesh arrays: {exc}") from exc
-    if not all(t in ("b", "i") for t in tags):
+    edge_is_boundary = tags == "b"
+    if not np.all(edge_is_boundary | (tags == "i")):
         raise FormatError("edge tags must be 'b' or 'i'")
-    edge_is_boundary = np.asarray([t == "b" for t in tags], dtype=bool)
     boundary_flags = np.zeros(len(vertices), dtype=bool)
     bv = np.asarray(data["boundary_vertices"], dtype=np.int64)
     if bv.size and (bv.min() < 0 or bv.max() >= len(vertices)):

@@ -118,8 +118,12 @@ def _stiffness(num_vertices: int, edges: np.ndarray,
     diag = np.zeros(num_vertices)
     np.add.at(diag, i, 2.0 * c)
     np.add.at(diag, j, 2.0 * c)
-    rows = np.concatenate([i, j, np.arange(num_vertices)])
-    cols = np.concatenate([j, i, np.arange(num_vertices)])
+    # The (row, col) arrays set the memory peak of assembly, so they take
+    # the int32 index type of the CSR result whenever it fits.
+    itype = np.int32 if num_vertices < 2**31 else np.int64
+    ids = np.arange(num_vertices, dtype=itype)
+    rows = np.concatenate([i, j, ids], dtype=itype)
+    cols = np.concatenate([j, i, ids], dtype=itype)
     vals = np.concatenate([-2.0 * c, -2.0 * c, diag])
     return sparse.coo_matrix(
         (vals, (rows, cols)), shape=(num_vertices, num_vertices)).tocsr()
@@ -175,15 +179,20 @@ def apply(op: OperatorBundle, u: np.ndarray) -> np.ndarray:
     return op.inv_m * (op.S @ u)
 
 
-def energy(mesh: Mesh, u: np.ndarray, c0: float = 1.0) -> float:
-    """Graph energy E_n(u) over unordered adjacent pairs."""
+def _edge_energies(mesh: Mesh, u: np.ndarray, c0: float = 1.0) -> np.ndarray:
+    """c(p, q) (u(p) - u(q))^2 per edge, aligned with mesh.edges."""
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.num_vertices,):
         raise ValueError(
             f"vector has shape {u.shape}, mesh has {mesh.num_vertices} vertices")
     c = edge_conductances(mesh, c0)
     d = u[mesh.edges[:, 0]] - u[mesh.edges[:, 1]]
-    return float(np.sum(c * d * d))
+    return c * d * d
+
+
+def energy(mesh: Mesh, u: np.ndarray, c0: float = 1.0) -> float:
+    """Graph energy E_n(u) over unordered adjacent pairs."""
+    return float(np.sum(_edge_energies(mesh, u, c0)))
 
 
 def m_inner(op: OperatorBundle, u: np.ndarray, v: np.ndarray) -> float:
@@ -210,15 +219,8 @@ def energy_sequence(f: Callable[[float, float], float], n_max: int,
     for n in range(n_max + 1):
         mesh = build_mesh(n)
         xy = cartesian_coordinates(mesh)
-        u = np.array([f(x, y) for x, y in xy])
-        c = edge_conductances(mesh, c0)
-        d = u[mesh.edges[:, 0]] - u[mesh.edges[:, 1]]
-        e = c * d * d
-        if part == "interior":
-            val = float(np.sum(e[~mesh.edge_is_boundary]))
-        elif part == "boundary":
-            val = float(np.sum(e[mesh.edge_is_boundary]))
-        else:
-            val = float(np.sum(e))
-        out.append(val)
+        e = _edge_energies(mesh, [f(x, y) for x, y in xy], c0)
+        if part != "total":
+            e = e[mesh.edge_is_boundary == (part == "boundary")]
+        out.append(float(np.sum(e)))
     return out

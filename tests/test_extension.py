@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import cg
 
+from snowlab import extension
 from snowlab.extension import (
     BoundaryData,
     alternating_boundary_data,
@@ -9,7 +13,7 @@ from snowlab.extension import (
     harmonic_extend,
     random_boundary_data,
 )
-from snowlab.lattice import build_mesh
+from snowlab.lattice import boundary_cycle, build_mesh
 from snowlab.operators import apply, assemble, energy
 
 
@@ -114,3 +118,91 @@ def test_level0_extension():
     f = np.array([1.0, -2.0, 0.5])
     u = harmonic_extend(mesh, f)
     assert np.array_equal(u, f)
+
+
+def test_alternating_data_matches_cycle_positions():
+    # the definition by a position dictionary along the boundary cycle
+    for level in range(6):
+        mesh = build_mesh(level)
+        pos = {int(v): t for t, v in enumerate(boundary_cycle(mesh))}
+        want = np.array([1.0 if pos[int(v)] % 2 == 0 else -1.0
+                         for v in mesh.boundary_vertices])
+        got = alternating_boundary_data(mesh).values
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+# SHA-256 of harmonic_extend(alternating data), recorded from the splu path
+# before the interior system was assembled as CSR only.
+EXTENSION_DIGESTS = {
+    0: "a5e608740a9c9548b0737a9fc46d3220ba3d58cae3f15a5deec72238642a19a2",
+    1: "fc0a7a762908f2139046b3bdf40cc0b3a250cbfd4017296eaa3b3487c2c7493d",
+    2: "b9d8e4095660b2e8e10571e99871ab44ed3613616d78ca6a0882a29cd922d0f8",
+    3: "0f328ce8cc44641c5da86121021795674b1d2e23f8cd21f0b1c6ce63c8fa7e2f",
+    4: "6d5c3ef2a3462feb9afbfa139e61924d2a9040ae392e0ddb83f9f06972b25339",
+    5: "9598b6c2786534ccd4ff21a40f8fd041c4a0349dbe3accc1ba3aa6577869e273",
+}
+
+
+@pytest.mark.parametrize("level", sorted(EXTENSION_DIGESTS))
+def test_direct_extension_pinned(level):
+    mesh = build_mesh(level)
+    u = harmonic_extend(mesh, alternating_boundary_data(mesh))
+    assert hashlib.sha256(u.tobytes()).hexdigest() == EXTENSION_DIGESTS[level]
+
+
+def _check_harmonic(mesh, f, u):
+    # interior rows of S u, against the largest boundary coupling 12 max|f|
+    resid = (assemble(mesh, "full").S @ u)[mesh.interior_vertices]
+    assert np.abs(resid).max(initial=0.0) <= 1e-9 * 12.0 * np.abs(f).max()
+    inner = u[mesh.interior_vertices]
+    assert inner.max(initial=f.max()) <= f.max() + 1e-12
+    assert inner.min(initial=f.min()) >= f.min() - 1e-12
+    assert np.array_equal(u[mesh.boundary_vertices], f)
+
+
+@pytest.mark.parametrize("pattern", ["alternating", "random"])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_iterative_branch_matches_direct(level, pattern, monkeypatch):
+    mesh = build_mesh(level)
+    f = (alternating_boundary_data(mesh) if pattern == "alternating"
+         else random_boundary_data(mesh, seed=level)).values
+    direct = harmonic_extend(mesh, f)
+    monkeypatch.setattr(extension, "DIRECT_SOLVE_LIMIT", 0)
+    # a small coarse limit gives every level a multigrid hierarchy
+    monkeypatch.setattr(extension, "COARSE_SOLVE_LIMIT", 10)
+    u = harmonic_extend(mesh, f)
+    assert np.abs(u - direct).max() <= 1e-10 * np.abs(f).max()
+    _check_harmonic(mesh, f, u)
+
+
+def test_multigrid_is_symmetric(mesh3, monkeypatch):
+    monkeypatch.setattr(extension, "COARSE_SOLVE_LIMIT", 10)
+    iidx = mesh3.interior_vertices
+    A = assemble(mesh3, "dirichlet").S
+    M = extension._multigrid(A, mesh3.vertices[iidx])
+    rng = np.random.default_rng(7)
+    x, y = rng.standard_normal((2, len(iidx)))
+    xMy, yMx = x @ M.matvec(y), y @ M.matvec(x)
+    assert abs(xMy - yMx) <= 1e-12 * max(1.0, abs(xMy))
+    assert x @ M.matvec(x) > 0
+
+
+def test_level6_multigrid_cg(monkeypatch):
+    iterations = []
+
+    def counted_cg(*args, **kwargs):
+        iterations.append(0)
+
+        def count(xk):
+            iterations[-1] += 1
+        return cg(*args, callback=count, **kwargs)
+
+    mesh = build_mesh(6)
+    assert mesh.num_interior_vertices > extension.DIRECT_SOLVE_LIMIT
+    f = alternating_boundary_data(mesh).values
+    monkeypatch.setattr(extension, "cg", counted_cg)
+    u = harmonic_extend(mesh, f)
+    assert len(iterations) == 1 and iterations[0] <= 40
+    _check_harmonic(mesh, f, u)
+    assert np.abs(u).max() <= 1.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 import scipy.io
 
 from snowlab import fileio
-from snowlab.lattice import MeshInvariantError
+from snowlab.lattice import MeshInvariantError, build_mesh
 from snowlab.operators import assemble
 
 
@@ -38,6 +39,35 @@ def test_mesh_reader_rejects_bad_tag(mesh1, tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(fileio.FormatError):
         fileio.read_mesh_json(path)
+
+
+@pytest.mark.parametrize("row", [[0, 1], [0, 1, None], [0, 1, ["b"]],
+                                 ["a", 1, "b"], 7])
+def test_mesh_reader_rejects_malformed_edge(mesh1, tmp_path, row):
+    path = tmp_path / "mesh.json"
+    fileio.write_mesh_json(mesh1, path)
+    data = json.loads(path.read_text())
+    data["edges"][3] = row
+    path.write_text(json.dumps(data))
+    with pytest.raises(fileio.FormatError):
+        fileio.read_mesh_json(path)
+
+
+# SHA-256 of mesh.json, recorded from the per-edge writer this one replaced.
+MESH_JSON_DIGESTS = {
+    0: "a2ea30fd190b5175325b84b290ee985f4e2e3020c2a6730e341680f205f81a35",
+    1: "ba7b27becc005024c33d33418388aa0b059472a4c06a7ebee4efaba8dc9940fe",
+    2: "8e18151bc56ac819abec9849d0603d66a1058ecac89e737355e8f569096b22a6",
+    3: "d7b41ddb2a8f96ed745802ff1cd00f924e7cf736b29340773dec8db843998784",
+}
+
+
+@pytest.mark.parametrize("level", sorted(MESH_JSON_DIGESTS))
+def test_mesh_json_pinned(level, tmp_path):
+    path = tmp_path / "mesh.json"
+    fileio.write_mesh_json(build_mesh(level), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == MESH_JSON_DIGESTS[level]
 
 
 def test_mesh_reader_validates_invariants(mesh1, tmp_path):
