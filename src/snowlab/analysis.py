@@ -403,7 +403,15 @@ def landscape_closed_forms(level: int, c0: float = 1.0) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class BoundViolation:
-    pair: int     # 1-based eigenpair position
+    """One vertex where an eigenvector exceeds the landscape bound.
+
+    `pair` is the 1-based position of the eigenpair within the spectrum
+    passed to landscape_bound_check.  For a partial spectrum (a top-k
+    window from eig_partial) that is a position within the window, not
+    the pair's index in the full spectrum.
+    """
+
+    pair: int     # 1-based position within the checked spectrum
     vertex: int   # mesh vertex index (via the operator's vertex_map)
     value: float  # |phi| after max-normalization
     bound: float  # u / lambda
@@ -425,7 +433,10 @@ def landscape_bound_check(spec: Spectrum, u: LandscapeVector,
     after normalizing each eigenvector to max |phi| = 1.
 
     Returns every index where the bound fails by more than `tol`; an empty
-    violation list verifies the bound on this spectrum.
+    violation list verifies the bound on this spectrum.  Violations and
+    skipped pairs are named by their 1-based position within `spec`: for a
+    partial spectrum from eig_partial that is the position within its
+    window, not a global eigenvalue index.
     """
     if (spec.kind, spec.level, spec.c0) != (u.kind, u.level, u.c0):
         raise AnalysisError(

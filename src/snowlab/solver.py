@@ -13,16 +13,18 @@ value is positive (ties within 1e-12 of the max resolved to the lowest
 index).  Tiny negative eigenvalues from roundoff are clamped to zero; the
 operators are positive semidefinite by construction.
 
-The dense path covers dimensions up to the guard.  It solves D block by
-block in the D6 symmetry-adapted basis of `snowlab.symmetry`: one
-scipy.linalg.eigh per irrep, with the second partner of each
-two-dimensional irrep taken from the same block solve.  Eigenvalues of a
-partner pair are therefore bit-equal and every pair has a canonical basis,
-so the symmetry-forced degeneracies no longer leave the basis to the
-LAPACK/BLAS internals.  Operators without the symmetry (level 0) are one
-identity block.  The Krylov path (ARPACK with full reorthogonalization of
-the restarted basis) covers extremal windows at larger sizes and is
-validated against the dense path on overlap.
+Both solvers work block by block in the D6 symmetry-adapted basis of
+`snowlab.symmetry`, with the second partner of each two-dimensional irrep
+taken from the same block solve.  Eigenvalues of a partner pair are
+therefore bit-equal and every pair has a canonical basis, so the
+symmetry-forced degeneracies do not leave the basis to the LAPACK/BLAS
+internals.  Operators without the symmetry (level 0) are one identity
+block.  The dense path (eig_full, up to the guard) runs one
+scipy.linalg.eigh per block.  The Krylov path (eig_partial) runs one
+ARPACK shift-invert solve per block at either end of the spectrum and
+merges the block windows exactly; it is validated against the dense path
+at levels <= 4.  Both return irrep tags and order equal eigenvalues the
+same way.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from .operators import OperatorBundle
-from .symmetry import irrep_blocks
+from .symmetry import reduced_blocks
 
 DENSE_GUARD_DEFAULT = 6000
 RESIDUAL_TOL_DEFAULT = 1e-8
@@ -66,8 +68,8 @@ class Spectrum:
     eigenvector on the operator's vertex set, m-normalized and sign-fixed;
     residuals[j] = ||S phi - lambda M phi||_inf.  irreps[j] names the
     symmetry block of pair j (A1, A2, B1, B2, E1, E1', E2, E2', or A for an
-    operator solved without symmetry); None when the solver did not use
-    blocks.
+    operator solved without symmetry).  eig_full and eig_partial always
+    set it; None for a spectrum built elsewhere without tags.
     """
 
     kind: str
@@ -179,14 +181,43 @@ def _require_rows(op: OperatorBundle) -> None:
             f"the mesh has no interior vertex")
 
 
+def _merge(op: OperatorBundle, solved: list, window: slice, solver: str,
+           residual_tol: float) -> Spectrum:
+    """One Spectrum from per-block eigenpairs.
+
+    `solved` holds (tag, basis, eigenvalues, block eigenvectors) per irrep
+    row, in block order, with an E block's pairs listed once per row.  All
+    pairs are sorted by eigenvalue, stably, so equal eigenvalues keep the
+    order A1, A2, B1, B2, E1, E1', E2, E2'; `window` selects positions of
+    that order.  Each kept block eigenvector y is written as Q y straight
+    into its column of one (d, k) array, which _finalize then overwrites.
+    """
+    w_all = np.concatenate([w for _, _, w, _ in solved])
+    order = np.argsort(w_all, kind="stable")[window]
+    column = np.full(len(w_all), -1, dtype=np.int64)
+    column[order] = np.arange(len(order))
+    Phi = np.empty((op.dimension, len(order)), order="F")
+    lo = 0
+    for _, Q, w, Y in solved:
+        hi = lo + len(w)
+        col = column[lo:hi]
+        kept = np.flatnonzero(col >= 0)
+        if len(kept):
+            Phi[:, col[kept]] = Q @ Y[:, kept]
+        lo = hi
+    tags = np.repeat([tag for tag, _, _, _ in solved],
+                     [len(w) for _, _, w, _ in solved])
+    return _finalize(op, w_all[order], Phi, solver, residual_tol,
+                     irreps=tuple(tags[order].tolist()))
+
+
 def eig_full(op: OperatorBundle, dense_guard: int = DENSE_GUARD_DEFAULT,
              residual_tol: float = RESIDUAL_TOL_DEFAULT) -> Spectrum:
     """Full spectrum by dense eigendecomposition of D, one symmetry block
     at a time.
 
     Pairs are sorted by eigenvalue; equal eigenvalues keep the block order
-    A1, A2, B1, B2, E1, E1', E2, E2'.  Each block's back-transform is
-    written straight into its sorted columns of one (d, d) array.
+    A1, A2, B1, B2, E1, E1', E2, E2'.
     """
     _require_rows(op)
     n = op.dimension
@@ -194,45 +225,61 @@ def eig_full(op: OperatorBundle, dense_guard: int = DENSE_GUARD_DEFAULT,
         raise DenseGuardError(
             f"dimension {n} exceeds dense guard {dense_guard}; "
             f"use eig_partial for extremal windows")
-    D = symmetrize(op)
-    solved = []  # (tag, basis, eigenvalues, block eigenvectors)
-    for blk in irrep_blocks(op):
-        if blk.size == 0:
-            continue
-        A = (blk.basis.T @ (D @ blk.basis)).toarray()
-        w, Y = scipy.linalg.eigh(A, overwrite_a=True, check_finite=False)
-        solved.append((blk.tag, blk.basis, w, Y))
-        if blk.partner is not None:
-            solved.append((blk.partner_tag, blk.partner, w, Y))
+    solved = []
+    for blk, A in reduced_blocks(op, symmetrize(op)):
+        w, Y = scipy.linalg.eigh(A.toarray(), overwrite_a=True,
+                                 check_finite=False)
+        solved += [(tag, Q, w, Y) for tag, Q in blk.rows]
+    return _merge(op, solved, slice(None), "dense", residual_tol)
 
-    w_all = np.concatenate([w for _, _, w, _ in solved])
-    order = np.argsort(w_all, kind="stable")
-    column = np.empty(n, dtype=np.int64)
-    column[order] = np.arange(n)
-    Phi = np.empty((n, n), order="F")
-    lo = 0
-    for _, Q, w, Y in solved:
-        hi = lo + len(w)
-        Phi[:, column[lo:hi]] = Q @ Y
-        lo = hi
-    tags = np.repeat([tag for tag, _, _, _ in solved],
-                     [len(w) for _, _, w, _ in solved])
-    return _finalize(op, w_all[order], Phi, "dense", residual_tol,
-                     irreps=tuple(tags[order].tolist()))
+
+def _extremal_pairs(A: sparse.csr_matrix, count: int, which: str,
+                    sigma: float, seed: int, maxiter: int | None,
+                    tag: str) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The `count` smallest or largest eigenpairs of one block, ascending,
+    and whether ARPACK computed them.  A window of at least the block size
+    minus one, which leaves ARPACK no room to restart, is sliced from a
+    dense eigh."""
+    b = A.shape[0]
+    if count >= b - 1:
+        w, Y = scipy.linalg.eigh(A.toarray(), overwrite_a=True,
+                                 check_finite=False)
+        keep = slice(0, count) if which == "smallest" else slice(b - count, b)
+        return w[keep], Y[:, keep], False
+    v0 = np.random.default_rng(seed).standard_normal(b)
+    try:
+        w, Y = scipy.sparse.linalg.eigsh(A, k=count, sigma=sigma, which="LM",
+                                         v0=v0, maxiter=maxiter)
+    except ArpackNoConvergence as exc:
+        got = len(exc.eigenvalues)
+        raise NumericalError(
+            f"ARPACK converged {got}/{count} pairs in block {tag} "
+            f"(which={which}); increase maxiter or reduce k") from exc
+    order = np.argsort(w, kind="stable")
+    return w[order], Y[:, order], True
 
 
 def eig_partial(op: OperatorBundle, k: int, which: str = "smallest",
                 seed: int = 0, maxiter: int | None = None,
                 residual_tol: float = RESIDUAL_TOL_DEFAULT) -> Spectrum:
-    """k extremal eigenpairs by a Krylov scheme on D.
+    """k extremal eigenpairs of D by shift-invert ARPACK, one symmetry
+    block at a time.
 
-    which="smallest" runs shift-invert at sigma = -1 (D + I is positive
-    definite, so the factorization is safe and the smallest eigenvalues of D
-    map to the largest of the inverse); which="largest" runs plain Lanczos.
-    A fixed seed for the start vector keeps runs reproducible.  Windows of
-    size >= dimension - 1 fall through to the dense path (ARPACK needs
-    k < dimension) and are sliced from it, irrep tags included; Krylov
-    results carry no tags.
+    Each one-dimensional block gives its k extremal pairs and each E block
+    its ceil(k/2), with the partner pairs taken from the same solve.  The k
+    extremal pairs of D hold no more than that from any block (an E-block
+    eigenvalue occurs twice), so the merged window is exact.  The shift is
+    sigma = -1 for which="smallest" (D + I is positive definite) and, for
+    which="largest", a shift above the Gershgorin bound of D, so the
+    shifted block is negative definite and its extremal eigenvalues are
+    the ones nearest the shift.  Every block's start vector comes from
+    `seed`, so runs are reproducible.  A block whose window is at least
+    its size minus one is solved by a dense eigh.
+
+    The result carries irrep tags and the canonical E-pair basis, as from
+    eig_full, and its pairs are ordered the same way.  solver is
+    "iterative", or "iterative-dense-fallback" when every block was
+    solved densely.
     """
     _require_rows(op)
     n = op.dimension
@@ -241,35 +288,25 @@ def eig_partial(op: OperatorBundle, k: int, which: str = "smallest",
     if which not in ("smallest", "largest"):
         raise ValueError(f"which must be 'smallest' or 'largest', got {which!r}")
 
-    if k >= n - 1 or n <= 32:
-        full = eig_full(op, dense_guard=max(DENSE_GUARD_DEFAULT, n),
-                        residual_tol=residual_tol)
-        sl = slice(0, k) if which == "smallest" else slice(n - k, n)
-        return Spectrum(kind=op.kind, level=op.level, c0=op.c0,
-                        eigenvalues=full.eigenvalues[sl].copy(),
-                        eigenvectors=full.eigenvectors[:, sl].copy(),
-                        residuals=full.residuals[sl].copy(),
-                        vertex_map=op.vertex_map,
-                        solver="iterative-dense-fallback",
-                        irreps=full.irreps[sl])
-
     D = symmetrize(op)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    try:
-        if which == "smallest":
-            w, Y = scipy.sparse.linalg.eigsh(
-                D, k=k, sigma=-1.0, which="LM", v0=v0, maxiter=maxiter)
-        else:
-            w, Y = scipy.sparse.linalg.eigsh(
-                D, k=k, which="LA", v0=v0, maxiter=maxiter)
-    except ArpackNoConvergence as exc:
-        got = len(exc.eigenvalues)
-        raise NumericalError(
-            f"ARPACK converged {got}/{k} pairs (which={which}); "
-            f"increase maxiter or reduce k") from exc
-    order = np.argsort(w)
-    return _finalize(op, w[order], Y[:, order], "iterative", residual_tol)
+    if which == "smallest":
+        sigma = -1.0
+    else:
+        # strictly above: the bound is attained (the top eigenvalue of the
+        # boundary operator equals it), and a shift on an eigenvalue would
+        # make the shifted block singular
+        sigma = 1.001 * float(abs(D).sum(axis=1).max())
+    solved, krylov = [], False
+    for blk, A in reduced_blocks(op, D):
+        count = min(-(-k // blk.multiplicity), blk.size)
+        w, Y, used = _extremal_pairs(A, count, which, sigma, seed, maxiter,
+                                     blk.tag)
+        krylov |= used
+        solved += [(tag, Q, w, Y) for tag, Q in blk.rows]
+    window = slice(0, k) if which == "smallest" else slice(-k, None)
+    return _merge(op, solved, window,
+                  "iterative" if krylov else "iterative-dense-fallback",
+                  residual_tol)
 
 
 def trace_identity(op: OperatorBundle) -> float:

@@ -87,6 +87,18 @@ class IrrepBlock:
     def size(self) -> int:
         return self.basis.shape[1]
 
+    @property
+    def rows(self) -> list[tuple[str, sparse.csc_matrix]]:
+        """(tag, basis) of each irrep row: one, or two for an E block."""
+        if self.partner is None:
+            return [(self.tag, self.basis)]
+        return [(self.tag, self.basis), (self.partner_tag, self.partner)]
+
+    @property
+    def multiplicity(self) -> int:
+        """How often each eigenvalue of the block occurs in the operator."""
+        return len(self.rows)
+
 
 def vertex_permutations(op: OperatorBundle) -> np.ndarray | None:
     """(12, d) array: row g maps each operator row to the row of its image
@@ -170,3 +182,17 @@ def irrep_blocks(op: OperatorBundle) -> list[IrrepBlock]:
         else:
             blocks.append(IrrepBlock(tag, basis[0], tag + "'", basis[1]))
     return blocks
+
+
+def reduced_blocks(op: OperatorBundle, D: sparse.spmatrix
+                   ) -> list[tuple[IrrepBlock, sparse.csr_matrix]]:
+    """Each nonempty block of `irrep_blocks(op)`, in the same order, with
+    the sparse block matrix Q^T D Q of its basis Q.
+
+    D is a matrix on the operator's rows that commutes with the D6
+    permutations (the symmetrized operator), so D restricted to the
+    partner basis of an E block is the same matrix and one block serves
+    both rows.
+    """
+    return [(blk, blk.basis.T @ (D @ blk.basis))
+            for blk in irrep_blocks(op) if blk.size]

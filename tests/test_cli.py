@@ -248,22 +248,29 @@ def test_landscape_vertex_column(capsys, tmp_path):
 
 def test_eig_bytes_independent_of_blas_threads(tmp_path):
     # the degenerate (E-pair) eigenvectors are where a thread-dependent
-    # basis would show
+    # basis would show; the dense and both iterative windows are checked
     src = str(Path(snowlab.__file__).resolve().parent.parent)
     artifacts = ("eigenvalues.csv", "eigenvectors.snwv",
                  "eigenvectors.snwv.json")
-    got = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = tmp_path / f"threads{threads}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "snowlab", "eig", "--level", "3",
-             "--out", str(out)], env=env, capture_output=True, text=True,
-            timeout=600)
-        assert proc.returncode == 0, proc.stderr
-        got.append({name: (out / name).read_bytes() for name in artifacts})
-    for name in artifacts:
-        assert got[0][name] == got[1][name], name
+    solves = {"dense": [],
+              "smallest": ["--solver", "iterative", "--k", "8",
+                           "--which", "smallest"],
+              "largest": ["--solver", "iterative", "--k", "8",
+                          "--which", "largest"]}
+    for label, args in solves.items():
+        got = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"{label}-threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "snowlab", "eig", "--level", "3",
+                 *args, "--out", str(out)], env=env, capture_output=True,
+                text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            got.append({name: (out / name).read_bytes()
+                        for name in artifacts})
+        for name in artifacts:
+            assert got[0][name] == got[1][name], (label, name)

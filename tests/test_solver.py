@@ -138,3 +138,86 @@ def test_partial_k_validation(op2_full):
         eig_partial(op2_full, 0)
     with pytest.raises(ValueError):
         eig_partial(op2_full, 5, which="middle")
+
+
+def assert_window_matches_full(part, full, which, k):
+    """Oracle check of a blocked eig_partial window against eig_full:
+    eigenvalues to 1e-9 relative, bit-equal E-partner eigenvalues, and
+    equal tag multisets on every eigenvalue cluster (consecutive values
+    equal to 1e-9 relative) that the window edge does not cut."""
+    n = full.count
+    lo, hi = (0, k) if which == "smallest" else (n - k, n)
+    want = full.eigenvalues[lo:hi]
+    assert part.count == k and len(part.irreps) == k
+    assert np.all(np.abs(part.eigenvalues - want)
+                  <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+    tags = np.array(part.irreps)
+    for e in ("E1", "E2"):
+        a, b = part.eigenvalues[tags == e], part.eigenvalues[tags == e + "'"]
+        # the window edge may cut one pair
+        m = min(len(a), len(b))
+        assert abs(len(a) - len(b)) <= 1
+        if which == "largest":
+            a, b = a[len(a) - m:], b[len(b) - m:]
+        assert np.array_equal(a[:m], b[:m])
+
+    w = full.eigenvalues
+    gap = np.diff(w) > 1e-9 * np.maximum(1.0, np.abs(w[1:]))
+    edges = np.concatenate([[0], np.flatnonzero(gap) + 1, [n]])
+    for a, b in zip(edges[:-1], edges[1:]):
+        if a < lo or b > hi:
+            continue  # outside the window, or cut by its edge
+        assert (sorted(full.irreps[a:b])
+                == sorted(part.irreps[a - lo:b - lo])), (a, b)
+
+
+@pytest.mark.parametrize("level", (1, 2, 3))
+@pytest.mark.parametrize("kind", ("full", "dirichlet", "boundary"))
+@pytest.mark.parametrize("which", ("smallest", "largest"))
+def test_blocked_partial_matches_full(level, kind, which):
+    op = assemble(build_mesh(level), kind)
+    full = eig_full(op)
+    for k in sorted({min(k, op.dimension) for k in (1, 7, 20)}):
+        part = eig_partial(op, k, which=which)
+        assert_window_matches_full(part, full, which, k)
+
+
+@pytest.mark.parametrize("which", ("smallest", "largest"))
+def test_blocked_partial_matches_full_level4(which, op4_full, spec4_full,
+                                            op4_dir, spec4_dir):
+    for op, full in ((op4_full, spec4_full), (op4_dir, spec4_dir)):
+        part = eig_partial(op, 10, which=which)
+        assert part.solver == "iterative"
+        assert_window_matches_full(part, full, which, 10)
+
+
+@pytest.mark.parametrize("which", ("smallest", "largest"))
+def test_partial_level0_identity_block(mesh0, which):
+    op = assemble(mesh0, "full")
+    full = eig_full(op)
+    for k in (1, 2, 3):
+        part = eig_partial(op, k, which=which)
+        assert part.irreps == ("A",) * k
+        assert_window_matches_full(part, full, which, k)
+
+
+def test_partial_level1_dense_blocks(mesh1):
+    # A2 is empty at level 1, and k = 5 exceeds every block size, so each
+    # block takes the dense branch
+    op = assemble(mesh1, "full")
+    full = eig_full(op)
+    for which in ("smallest", "largest"):
+        part = eig_partial(op, 5, which=which)
+        assert part.solver == "iterative-dense-fallback"
+        assert "A2" not in part.irreps
+        assert_window_matches_full(part, full, which, 5)
+    # k = 1 puts the 3-row A1 block on ARPACK and the rest on eigh
+    assert eig_partial(op, 1, which="largest").solver == "iterative"
+
+
+@pytest.mark.parametrize("which", ("smallest", "largest"))
+def test_partial_no_convergence_names_block(mesh3, which):
+    op = assemble(mesh3, "full")
+    with pytest.raises(NumericalError, match=r"in block A1 \(which="):
+        eig_partial(op, 20, which=which, maxiter=1)
