@@ -13,14 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .lattice import Mesh, boundary_hop_distance
-from .operators import OperatorBundle
-from .solver import Spectrum
-
-
-# eigenvectors per chunk in the column-blocked passes over a spectrum
-COLUMN_BLOCK = 512
+from .operators import OperatorBundle, _mass_vectors
+from .solver import Spectrum, chunk_columns
 
 
 class AnalysisError(Exception):
@@ -318,10 +315,10 @@ def localization_report(spec: Spectrum, mesh: Mesh,
     """Boundary mass fractions, distance profiles, and contour class counts
     for every eigenpair of a full-mesh spectrum.
 
-    Works on COLUMN_BLOCK eigenvectors at a time, so its temporaries stay
-    at (d, COLUMN_BLOCK) whatever the spectrum size.  Each column is summed
-    on its own, in column-major layout, so the result does not depend on
-    the block size.
+    Works on a cache-sized chunk of eigenvectors at a time
+    (`solver.chunk_columns`), so its temporaries stay small whatever the
+    spectrum size.  Each column is summed on its own, in column-major
+    layout, so the result does not depend on the chunk width.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -329,27 +326,28 @@ def localization_report(spec: Spectrum, mesh: Mesh,
             spec.vertex_map, np.arange(mesh.num_vertices)):
         raise AnalysisError("localization needs a spectrum on the full mesh")
 
-    n = mesh.level
-    m = np.where(mesh.boundary_flags, 1.0 / (4 ** n), 1.0 / (9 ** n))
+    m, _ = _mass_vectors(mesh)
     dist = boundary_hop_distance(mesh)
-    nd = int(dist.max()) + 1
+    k, d = spec.count, spec.dimension
+    # shell @ mass adds each column's mass per distance in vertex order,
+    # the sums np.bincount(dist, weights=column) forms
+    shell = sparse.csr_matrix((np.ones(d), (dist, np.arange(d))),
+                              shape=(int(dist.max()) + 1, d))
 
-    k = spec.count
-    hist = np.empty((k, nd))
+    hist = np.empty((k, shell.shape[0]))
     counts = np.empty((k, 3), dtype=np.int64)
-    for lo in range(0, k, COLUMN_BLOCK):
-        hi = min(lo + COLUMN_BLOCK, k)
+    width = chunk_columns(d)
+    for lo in range(0, k, width):
+        hi = min(lo + width, k)
         Phi = np.asfortranarray(spec.eigenvectors[:, lo:hi])
         mass = m[:, None] * Phi * Phi
-        total = mass.sum(axis=0)
+        hist[lo:hi] = (shell @ mass / mass.sum(axis=0)).T
         peak = np.max(np.abs(Phi), axis=0)
-        for j in range(hi - lo):
-            hist[lo + j] = np.bincount(dist, weights=mass[:, j],
-                                       minlength=nd) / total[j]
-            v = Phi[:, j] / peak[j] if peak[j] > 0 else Phi[:, j]
-            pos = int(np.count_nonzero(v > eps))
-            neg = int(np.count_nonzero(v < -eps))
-            counts[lo + j] = (len(v) - pos - neg, pos, neg)
+        # a zero column stays unscaled (x / 1.0 == x)
+        v = Phi / np.where(peak > 0, peak, 1.0)
+        pos = np.count_nonzero(v > eps, axis=0)
+        neg = np.count_nonzero(v < -eps, axis=0)
+        counts[lo:hi] = np.stack([d - pos - neg, pos, neg], axis=1)
     # distance 0 is exactly the boundary
     bmf = hist[:, 0].copy()
 
@@ -436,7 +434,8 @@ def landscape_bound_check(spec: Spectrum, u: LandscapeVector,
     violation list verifies the bound on this spectrum.  Violations and
     skipped pairs are named by their 1-based position within `spec`: for a
     partial spectrum from eig_partial that is the position within its
-    window, not a global eigenvalue index.
+    window, not a global eigenvalue index.  Violations are listed by
+    operator row, then by pair.
     """
     if (spec.kind, spec.level, spec.c0) != (u.kind, u.level, u.c0):
         raise AnalysisError(
@@ -448,17 +447,24 @@ def landscape_bound_check(spec: Spectrum, u: LandscapeVector,
     w = spec.eigenvalues
     Phi = spec.eigenvectors
     skipped = tuple(int(i) + 1 for i in np.flatnonzero(w == 0))
-    violations = []
-    for lo in range(0, spec.count, COLUMN_BLOCK):
-        hi = min(lo + COLUMN_BLOCK, spec.count)
-        ww = w[lo:hi]
-        P = np.abs(Phi[:, lo:hi])
+    # a max-normalized |phi| is at most 1, so only a pair whose smallest
+    # bound min(u) / lambda + tol is below 1 can fail (both roundings are
+    # monotone, so the test is exact)
+    with np.errstate(divide="ignore"):
+        pairs = np.flatnonzero((w > 0) & (u.values.min() / w + tol < 1.0))
+    found = []
+    width = chunk_columns(spec.dimension)
+    for lo in range(0, len(pairs), width):
+        cols = pairs[lo:lo + width]
+        P = np.abs(Phi[:, cols])
         P = P / np.max(P, axis=0)
-        with np.errstate(divide="ignore"):
-            bound = u.values[:, None] / ww[None, :]
-        mask = (P > bound + tol) & (ww > 0)[None, :]
-        for r, c in zip(*np.nonzero(mask)):
-            violations.append(BoundViolation(
-                pair=lo + int(c) + 1, vertex=int(spec.vertex_map[r]),
-                value=float(P[r, c]), bound=float(bound[r, c])))
-    return BoundCheckResult(violations=tuple(violations), skipped=skipped)
+        bound = u.values[:, None] / w[cols]
+        for r, c in zip(*np.nonzero(P > bound + tol)):
+            found.append((int(r), int(cols[c]), float(P[r, c]),
+                          float(bound[r, c])))
+    found.sort()  # by row, then pair, whatever the chunk width
+    violations = tuple(
+        BoundViolation(pair=j + 1, vertex=int(spec.vertex_map[r]),
+                       value=value, bound=b)
+        for r, j, value, b in found)
+    return BoundCheckResult(violations=violations, skipped=skipped)

@@ -25,6 +25,10 @@ ARPACK shift-invert solve per block at either end of the spectrum and
 merges the block windows exactly; it is validated against the dense path
 at levels <= 4.  Both return irrep tags and order equal eigenvalues the
 same way.
+
+Both finish the block eigenvectors in one pass, a cache-sized chunk of
+columns at a time, with the same floating-point operations per column
+whatever the chunk width.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ from .symmetry import reduced_blocks
 DENSE_GUARD_DEFAULT = 6000
 RESIDUAL_TOL_DEFAULT = 1e-8
 SIGN_TIE_TOL = 1e-12
+# bytes of each (d, c) temporary in the pass that finishes eigenpairs:
+# small enough for a chunk's temporaries to stay in cache, wide enough for
+# each sparse product to amortize its per-row cost
+CHUNK_BYTES = 512 * 1024
 
 SIGN_RULE = "largest-abs-entry-positive; ties within 1e-12 -> lowest index"
 NORMALIZATION = "m-inner-product unit norm"
@@ -120,58 +128,6 @@ def symmetrize(op: OperatorBundle) -> sparse.csr_matrix:
         (vals, (C.row, C.col)), shape=C.shape).tocsr()
 
 
-def _finalize(op: OperatorBundle, w: np.ndarray, Y: np.ndarray,
-              solver: str, residual_tol: float,
-              irreps: tuple | None = None, block: int = 256) -> Spectrum:
-    """Back-transform, normalize, sign-fix, clamp, and check residuals.
-
-    Y is scratch owned by the caller: the eigenvectors overwrite it column
-    block by column block, so no second (d, k) array is allocated.
-    """
-    d_back = np.sqrt(op.inv_m)
-
-    scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
-    neg_tol = residual_tol * scale
-    if np.any(w < -neg_tol):
-        worst = float(np.min(w))
-        raise NumericalError(
-            f"eigenvalue {worst} below -{neg_tol:.3e}; operator should be PSD")
-    w = np.where(w < 0.0, 0.0, w)
-
-    k = Y.shape[1]
-    Phi = Y
-    residuals = np.empty(k)
-    m = op.m
-    S = op.S
-    for lo in range(0, k, block):
-        hi = min(lo + block, k)
-        P = d_back[:, None] * Y[:, lo:hi]
-        # back-transform preserves the m-norm of unit vectors; renormalize
-        # to absorb roundoff
-        nrm = np.sqrt(np.sum(m[:, None] * P * P, axis=0))
-        P /= nrm
-        A = np.abs(P)
-        mx = A.max(axis=0)
-        lead = np.argmax(A >= (mx[None, :] - SIGN_TIE_TOL), axis=0)
-        signs = np.where(P[lead, np.arange(hi - lo)] < 0.0, -1.0, 1.0)
-        P *= signs
-        R = S @ P - (m[:, None] * P) * w[lo:hi]
-        residuals[lo:hi] = np.max(np.abs(R), axis=0)
-        Phi[:, lo:hi] = P
-
-    bound = residual_tol * np.maximum(1.0, w)
-    bad = np.flatnonzero(residuals > bound)
-    if bad.size:
-        j = int(bad[0])
-        raise NumericalError(
-            f"{bad.size} residuals above tolerance; first at pair {j}: "
-            f"residual {residuals[j]:.3e} > {bound[j]:.3e}")
-
-    return Spectrum(kind=op.kind, level=op.level, c0=op.c0,
-                    eigenvalues=w, eigenvectors=Phi, residuals=residuals,
-                    vertex_map=op.vertex_map, solver=solver, irreps=irreps)
-
-
 def _require_rows(op: OperatorBundle) -> None:
     """Reject an operator with no rows: the Dirichlet operator of a mesh
     without interior vertices (level 0)."""
@@ -181,34 +137,77 @@ def _require_rows(op: OperatorBundle) -> None:
             f"the mesh has no interior vertex")
 
 
-def _merge(op: OperatorBundle, solved: list, window: slice, solver: str,
-           residual_tol: float) -> Spectrum:
-    """One Spectrum from per-block eigenpairs.
+def chunk_columns(d: int) -> int:
+    """Columns of a (d, c) float64 temporary that fit in CHUNK_BYTES."""
+    return max(1, CHUNK_BYTES // (8 * d))
+
+
+def _spectrum(op: OperatorBundle, solved: list, window: slice, solver: str,
+              residual_tol: float) -> Spectrum:
+    """One Spectrum from per-block eigenpairs, finished in one pass.
 
     `solved` holds (tag, basis, eigenvalues, block eigenvectors) per irrep
     row, in block order, with an E block's pairs listed once per row.  All
     pairs are sorted by eigenvalue, stably, so equal eigenvalues keep the
     order A1, A2, B1, B2, E1, E1', E2, E2'; `window` selects positions of
-    that order.  Each kept block eigenvector y is written as Q y straight
-    into its column of one (d, k) array, which _finalize then overwrites.
+    that order.  Each kept block eigenvector y goes through
+    phi = M^-1/2 Q y, m-normalization, the sign rule and the residual
+    check with a chunk of its row's columns, and is written once, into its
+    sorted column.
     """
     w_all = np.concatenate([w for _, _, w, _ in solved])
     order = np.argsort(w_all, kind="stable")[window]
+    w = w_all[order]
+    scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
+    neg_tol = residual_tol * scale
+    if np.any(w < -neg_tol):
+        worst = float(np.min(w))
+        raise NumericalError(
+            f"eigenvalue {worst} below -{neg_tol:.3e}; operator should be PSD")
+    w = np.where(w < 0.0, 0.0, w)
+
     column = np.full(len(w_all), -1, dtype=np.int64)
     column[order] = np.arange(len(order))
+    d_back = np.sqrt(op.inv_m)
+    m, S = op.m, op.S
     Phi = np.empty((op.dimension, len(order)), order="F")
+    residuals = np.empty(len(order))
+    width = chunk_columns(op.dimension)
     lo = 0
-    for _, Q, w, Y in solved:
-        hi = lo + len(w)
-        col = column[lo:hi]
+    for _, Q, wb, Y in solved:
+        col = column[lo:lo + len(wb)]
+        lo += len(wb)
         kept = np.flatnonzero(col >= 0)
-        if len(kept):
-            Phi[:, col[kept]] = Q @ Y[:, kept]
-        lo = hi
+        for a in range(0, len(kept), width):
+            part = kept[a:a + width]
+            cols = col[part]
+            # column-major, so the norm below sums each column contiguously
+            P = np.multiply(d_back[:, None], Q @ Y[:, part], order="F")
+            # back-transform preserves the m-norm of unit vectors;
+            # renormalize to absorb roundoff
+            P /= np.sqrt(np.sum(m[:, None] * P * P, axis=0))
+            A = np.abs(P)
+            lead = np.argmax(A >= (A.max(axis=0) - SIGN_TIE_TOL), axis=0)
+            P *= np.where(P[lead, np.arange(len(part))] < 0.0, -1.0, 1.0)
+            # column-major: a max down a few row-major columns is slow
+            R = np.subtract(S @ P, (m[:, None] * P) * w[cols], order="F")
+            residuals[cols] = np.max(np.abs(R), axis=0)
+            Phi[:, cols] = P
+
+    bound = residual_tol * np.maximum(1.0, w)
+    bad = np.flatnonzero(residuals > bound)
+    if bad.size:
+        j = int(bad[0])
+        raise NumericalError(
+            f"{bad.size} residuals above tolerance; first at pair {j}: "
+            f"residual {residuals[j]:.3e} > {bound[j]:.3e}")
+
     tags = np.repeat([tag for tag, _, _, _ in solved],
                      [len(w) for _, _, w, _ in solved])
-    return _finalize(op, w_all[order], Phi, solver, residual_tol,
-                     irreps=tuple(tags[order].tolist()))
+    return Spectrum(kind=op.kind, level=op.level, c0=op.c0,
+                    eigenvalues=w, eigenvectors=Phi, residuals=residuals,
+                    vertex_map=op.vertex_map, solver=solver,
+                    irreps=tuple(tags[order].tolist()))
 
 
 def eig_full(op: OperatorBundle, dense_guard: int = DENSE_GUARD_DEFAULT,
@@ -230,7 +229,7 @@ def eig_full(op: OperatorBundle, dense_guard: int = DENSE_GUARD_DEFAULT,
         w, Y = scipy.linalg.eigh(A.toarray(), overwrite_a=True,
                                  check_finite=False)
         solved += [(tag, Q, w, Y) for tag, Q in blk.rows]
-    return _merge(op, solved, slice(None), "dense", residual_tol)
+    return _spectrum(op, solved, slice(None), "dense", residual_tol)
 
 
 def _extremal_pairs(A: sparse.csr_matrix, count: int, which: str,
@@ -304,9 +303,9 @@ def eig_partial(op: OperatorBundle, k: int, which: str = "smallest",
         krylov |= used
         solved += [(tag, Q, w, Y) for tag, Q in blk.rows]
     window = slice(0, k) if which == "smallest" else slice(-k, None)
-    return _merge(op, solved, window,
-                  "iterative" if krylov else "iterative-dense-fallback",
-                  residual_tol)
+    return _spectrum(op, solved, window,
+                     "iterative" if krylov else "iterative-dense-fallback",
+                     residual_tol)
 
 
 def trace_identity(op: OperatorBundle) -> float:

@@ -134,18 +134,41 @@ def vertex_permutations(op: OperatorBundle) -> np.ndarray | None:
     return perms
 
 
-def _orbit_vectors(targets: np.ndarray, coef: np.ndarray,
-                   d: int) -> sparse.csc_matrix:
-    """Column c*o + j = sum_g coef[g, j] e_{targets[g, o]} for c = coef.shape[1]
-    candidates per orbit o (repeated targets add up)."""
-    c = coef.shape[1]
-    rows = np.repeat(targets, c, axis=1)
-    cols = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)
-    vals = np.tile(coef, (1, targets.shape[1]))
-    M = sparse.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                          shape=(d, rows.shape[1])).tocsc()
-    M.eliminate_zeros()
-    return M
+def _basis(vals: np.ndarray, rows: np.ndarray, keep: np.ndarray,
+           scale: np.ndarray, d: int) -> sparse.csc_matrix:
+    """CSC matrix whose columns are the kept candidates times `scale`.
+
+    vals[s, o, j] is candidate j of orbit o on the orbit's s-th point in
+    ascending row order, and rows[s, o] that row.  Each column lists its
+    nonzero entries from the highest row down.
+    """
+    n_orb, dim = vals.shape[1:]
+    # (column, entry) tables, entries from the last slot down
+    V = vals.transpose(1, 2, 0)[:, :, ::-1].reshape(-1, GROUP_ORDER)[keep]
+    V = V * scale[:, None]
+    R = np.broadcast_to(rows.T[:, None, ::-1], (n_orb, dim, GROUP_ORDER))
+    R = R.reshape(-1, GROUP_ORDER)[keep]
+    nz = V != 0
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(nz, axis=1))])
+    return sparse.csc_matrix((V[nz], R[nz], indptr), shape=(d, len(V)))
+
+
+def _column_norms(vals: np.ndarray) -> np.ndarray:
+    """(orbits, candidates) Euclidean norms.
+
+    The squares of each column's nonzero entries are summed in ascending
+    row order by `np.add.reduceat`, the reduction a scipy CSC column sum
+    performs, so the norms match a sparse-algebra construction bit for
+    bit.
+    """
+    flat = vals.transpose(1, 2, 0).reshape(-1, GROUP_ORDER)
+    nz = flat != 0
+    counts = np.count_nonzero(nz, axis=1)
+    sq = (flat * flat)[nz]
+    norm2 = np.zeros(len(flat))
+    filled = counts > 0
+    norm2[filled] = np.add.reduceat(sq, (np.cumsum(counts) - counts)[filled])
+    return np.sqrt(norm2).reshape(vals.shape[1:])
 
 
 def irrep_blocks(op: OperatorBundle) -> list[IrrepBlock]:
@@ -154,6 +177,8 @@ def irrep_blocks(op: OperatorBundle) -> list[IrrepBlock]:
 
     Blocks can be empty (A2 has no vector at level 1).  Columns are
     ordered by orbit (smallest row first) and, within an orbit, by j.
+    The CSC arrays are built directly from the orbit targets and the irrep
+    coefficients.
     """
     d = op.dimension
     perms = vertex_permutations(op)
@@ -161,22 +186,44 @@ def irrep_blocks(op: OperatorBundle) -> list[IrrepBlock]:
         return [IrrepBlock(TRIVIAL_TAG, sparse.identity(d, format="csc"))]
 
     targets = perms[:, np.unique(perms.min(axis=0))]
-    srt = np.sort(targets, axis=0)
-    free = 1 + np.count_nonzero(np.diff(srt, axis=0), axis=0) == GROUP_ORDER
+    n_orb = targets.shape[1]
+    # each orbit's targets in ascending order; a repeated target (an orbit
+    # of 6 or 1 points) shares one slot, where its coefficients add up
+    order = np.argsort(targets, axis=0, kind="stable")
+    srt = np.take_along_axis(targets, order, axis=0)
+    step = np.diff(srt, axis=0) != 0
+    free = 1 + np.count_nonzero(step, axis=0) == GROUP_ORDER
+    slot = np.concatenate([np.zeros((1, n_orb), dtype=np.int64),
+                           np.cumsum(step, axis=0)])
+    orbit = np.arange(n_orb)
+    rows = np.zeros((GROUP_ORDER, n_orb), dtype=np.int64)
+    rows[slot, orbit] = srt
 
+    # summed[s, o, :] adds the entries D(g)_ij of every irrep over the g
+    # that map orbit o's representative p to its s-th point: the
+    # candidates y_ij = sum_g D(g)_ij e_{g p}, one column (irrep, i, j) each
+    coef = np.concatenate([D.reshape(GROUP_ORDER, -1)
+                           for D in IRREPS.values()], axis=1)[order]
+    summed = np.zeros((GROUP_ORDER, n_orb, coef.shape[2]))
+    for g in range(GROUP_ORDER):
+        summed[slot[g], orbit] += coef[g]
+
+    sizes = np.cumsum([D.shape[1] ** 2 for D in IRREPS.values()])[:-1]
     blocks = []
-    for tag, D in IRREPS.items():
+    for (tag, D), cand in zip(IRREPS.items(),
+                              np.split(summed, sizes, axis=2)):
         dim = D.shape[1]
-        rows = [_orbit_vectors(targets, D[:, i, :], d) for i in range(dim)]
-        norms = np.sqrt(np.asarray(rows[0].multiply(rows[0]).sum(axis=0)))
-        norms = norms.reshape(-1, dim)
+        # candidate j of irrep row i is cand[:, :, i, j]
+        cand = cand.reshape(GROUP_ORDER, n_orb, dim, dim)
+        norms = _column_norms(cand[:, :, 0])
         # a free orbit carries all dim candidates (orthogonal by Schur);
         # on a smaller orbit they are parallel or vanish, so keep the
         # largest one if it does not vanish
         first = np.arange(dim) == norms.argmax(axis=1)[:, None]
         keep = (free[:, None] | (first & (norms > _NONZERO))).ravel()
-        scale = sparse.diags(1.0 / norms.ravel()[keep])
-        basis = [(R[:, keep] @ scale).tocsc() for R in rows]
+        scale = 1.0 / norms.ravel()[keep]
+        basis = [_basis(cand[:, :, i], rows, keep, scale, d)
+                 for i in range(dim)]
         if dim == 1:
             blocks.append(IrrepBlock(tag, basis[0]))
         else:

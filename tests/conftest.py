@@ -8,6 +8,7 @@ and shared by every test that needs level-4 data.
 import numpy as np
 import pytest
 
+from snowlab import solver
 from snowlab.lattice import build_mesh
 from snowlab.operators import assemble
 from snowlab.solver import eig_full
@@ -81,3 +82,13 @@ def spec4_dir(op4_dir):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def chunk_width(monkeypatch):
+    """Set how many columns of d-row eigenvectors each chunked pass (the
+    solvers' finishing pass, the analysis passes) takes at a time."""
+    def set_width(columns, d):
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 8 * d * columns)
+        assert solver.chunk_columns(d) == columns
+    return set_width

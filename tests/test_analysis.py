@@ -17,9 +17,8 @@ from snowlab.analysis import (
     pair_eigenvectors,
     regime_threshold,
 )
-from snowlab import analysis
-from snowlab.analysis import LandscapeVector
-from snowlab.lattice import build_mesh
+from snowlab.analysis import BoundViolation, LandscapeVector
+from snowlab.lattice import boundary_hop_distance, build_mesh
 from snowlab.operators import assemble
 from snowlab.solver import Spectrum, eig_full
 
@@ -206,13 +205,46 @@ def test_localization_report(spec2_full, mesh2):
     assert bmf[0] == pytest.approx(m_b / (m_b + m_i), abs=1e-10)
 
 
-def test_localization_blocks_bit_identical(spec2_full, mesh2, monkeypatch):
+def test_localization_blocks_bit_identical(spec2_full, mesh2, chunk_width):
     whole = localization_report(spec2_full, mesh2)
-    monkeypatch.setattr(analysis, "COLUMN_BLOCK", 7)
+    chunk_width(7, spec2_full.dimension)
     parts = localization_report(spec2_full, mesh2)
     for field in ("boundary_mass_fraction", "distance_histogram",
                   "contour_counts"):
         assert np.array_equal(getattr(whole, field), getattr(parts, field))
+
+
+def per_column_localization(spec, mesh, eps=0.01):
+    """Reference: histograms by one np.bincount and contour counts by one
+    count per eigenvector, as the report was first computed."""
+    n = mesh.level
+    m = np.where(mesh.boundary_flags, 1.0 / (4 ** n), 1.0 / (9 ** n))
+    dist = boundary_hop_distance(mesh)
+    nd = int(dist.max()) + 1
+    Phi = np.asfortranarray(spec.eigenvectors)
+    hist = np.empty((spec.count, nd))
+    counts = np.empty((spec.count, 3), dtype=np.int64)
+    for j in range(spec.count):
+        mass = m * Phi[:, j] * Phi[:, j]
+        hist[j] = np.bincount(dist, weights=mass, minlength=nd) / mass.sum()
+        peak = np.max(np.abs(Phi[:, j]))
+        v = Phi[:, j] / peak if peak > 0 else Phi[:, j]
+        pos = int(np.count_nonzero(v > eps))
+        neg = int(np.count_nonzero(v < -eps))
+        counts[j] = (len(v) - pos - neg, pos, neg)
+    return hist, counts
+
+
+def test_localization_matches_per_column(spec2_full, mesh2, mesh3, spec4_full,
+                                         mesh4):
+    spec3 = eig_full(assemble(mesh3, "full"))
+    for spec, mesh in ((spec2_full, mesh2), (spec3, mesh3),
+                       (spec4_full, mesh4)):
+        rep = localization_report(spec, mesh)
+        hist, counts = per_column_localization(spec, mesh)
+        assert rep.distance_histogram.tobytes() == hist.tobytes()
+        assert np.array_equal(rep.contour_counts, counts)
+        assert np.array_equal(rep.boundary_mass_fraction, hist[:, 0])
 
 
 def test_localization_needs_full_mesh(spec2_dir, mesh2):
@@ -260,6 +292,35 @@ def test_bound_check_detects_violations(spec2_full, op2_full):
     assert len(res.violations) > 0
     v = res.violations[0]
     assert v.value > v.bound
+
+
+def every_pair_bound_check(spec, u, tol=1e-10):
+    """Reference: the bound tested on every pair and vertex at once."""
+    w, Phi = spec.eigenvalues, spec.eigenvectors
+    P = np.abs(Phi) / np.max(np.abs(Phi), axis=0)
+    with np.errstate(divide="ignore"):
+        bound = u.values[:, None] / w[None, :]
+    mask = (P > bound + tol) & (w > 0)[None, :]
+    return tuple(
+        BoundViolation(pair=int(c) + 1, vertex=int(spec.vertex_map[r]),
+                       value=float(P[r, c]), bound=float(bound[r, c]))
+        for r, c in zip(*np.nonzero(mask)))
+
+
+@pytest.mark.parametrize("level", (2, 3))
+@pytest.mark.parametrize("kind", ("full", "dirichlet", "boundary"))
+def test_bound_check_matches_every_pair_scan(level, kind, chunk_width):
+    op = assemble(build_mesh(level), kind)
+    spec, u = eig_full(op), landscape(op)
+    scaled = [LandscapeVector(kind=u.kind, level=u.level, c0=u.c0,
+                              values=u.values * factor,
+                              vertex_map=u.vertex_map)
+              for factor in (1.0, 0.9, 0.5)]
+    want = [every_pair_bound_check(spec, v) for v in scaled]
+    assert want[0] == () and len(want[-1]) > 100
+    assert [landscape_bound_check(spec, v).violations for v in scaled] == want
+    chunk_width(3, spec.dimension)
+    assert [landscape_bound_check(spec, v).violations for v in scaled] == want
 
 
 def test_bound_check_validation(spec2_full, op2_dir):

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy import sparse
 
+from snowlab import solver
 from snowlab.lattice import build_mesh
-from snowlab.operators import assemble
+from snowlab.operators import OperatorBundle, assemble
 from snowlab.solver import (
+    SIGN_TIE_TOL,
     DenseGuardError,
     NumericalError,
+    Spectrum,
     eig_full,
     eig_partial,
     symmetrize,
     trace_identity,
 )
+from snowlab.symmetry import reduced_blocks
 
 
 def brute_force_eigenvalues(op) -> np.ndarray:
@@ -221,3 +227,194 @@ def test_partial_no_convergence_names_block(mesh3, which):
     op = assemble(mesh3, "full")
     with pytest.raises(NumericalError, match=r"in block A1 \(which="):
         eig_partial(op, 20, which=which, maxiter=1)
+
+
+# -- reference: the two-pass scatter-then-finalize code the fused pass
+# replaced, kept verbatim as the byte-equality oracle ------------------------
+
+def _finalize(op: OperatorBundle, w: np.ndarray, Y: np.ndarray,
+              solver: str, residual_tol: float,
+              irreps: tuple | None = None, block: int = 256) -> Spectrum:
+    """Back-transform, normalize, sign-fix, clamp, and check residuals.
+
+    Y is scratch owned by the caller: the eigenvectors overwrite it column
+    block by column block, so no second (d, k) array is allocated.
+    """
+    d_back = np.sqrt(op.inv_m)
+
+    scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
+    neg_tol = residual_tol * scale
+    if np.any(w < -neg_tol):
+        worst = float(np.min(w))
+        raise NumericalError(
+            f"eigenvalue {worst} below -{neg_tol:.3e}; operator should be PSD")
+    w = np.where(w < 0.0, 0.0, w)
+
+    k = Y.shape[1]
+    Phi = Y
+    residuals = np.empty(k)
+    m = op.m
+    S = op.S
+    for lo in range(0, k, block):
+        hi = min(lo + block, k)
+        P = d_back[:, None] * Y[:, lo:hi]
+        # back-transform preserves the m-norm of unit vectors; renormalize
+        # to absorb roundoff
+        nrm = np.sqrt(np.sum(m[:, None] * P * P, axis=0))
+        P /= nrm
+        A = np.abs(P)
+        mx = A.max(axis=0)
+        lead = np.argmax(A >= (mx[None, :] - SIGN_TIE_TOL), axis=0)
+        signs = np.where(P[lead, np.arange(hi - lo)] < 0.0, -1.0, 1.0)
+        P *= signs
+        R = S @ P - (m[:, None] * P) * w[lo:hi]
+        residuals[lo:hi] = np.max(np.abs(R), axis=0)
+        Phi[:, lo:hi] = P
+
+    bound = residual_tol * np.maximum(1.0, w)
+    bad = np.flatnonzero(residuals > bound)
+    if bad.size:
+        j = int(bad[0])
+        raise NumericalError(
+            f"{bad.size} residuals above tolerance; first at pair {j}: "
+            f"residual {residuals[j]:.3e} > {bound[j]:.3e}")
+
+    return Spectrum(kind=op.kind, level=op.level, c0=op.c0,
+                    eigenvalues=w, eigenvectors=Phi, residuals=residuals,
+                    vertex_map=op.vertex_map, solver=solver, irreps=irreps)
+
+
+def _merge(op: OperatorBundle, solved: list, window: slice, solver: str,
+           residual_tol: float) -> Spectrum:
+    """One Spectrum from per-block eigenpairs.
+
+    `solved` holds (tag, basis, eigenvalues, block eigenvectors) per irrep
+    row, in block order, with an E block's pairs listed once per row.  All
+    pairs are sorted by eigenvalue, stably, so equal eigenvalues keep the
+    order A1, A2, B1, B2, E1, E1', E2, E2'; `window` selects positions of
+    that order.  Each kept block eigenvector y is written as Q y straight
+    into its column of one (d, k) array, which _finalize then overwrites.
+    """
+    w_all = np.concatenate([w for _, _, w, _ in solved])
+    order = np.argsort(w_all, kind="stable")[window]
+    column = np.full(len(w_all), -1, dtype=np.int64)
+    column[order] = np.arange(len(order))
+    Phi = np.empty((op.dimension, len(order)), order="F")
+    lo = 0
+    for _, Q, w, Y in solved:
+        hi = lo + len(w)
+        col = column[lo:hi]
+        kept = np.flatnonzero(col >= 0)
+        if len(kept):
+            Phi[:, col[kept]] = Q @ Y[:, kept]
+        lo = hi
+    tags = np.repeat([tag for tag, _, _, _ in solved],
+                     [len(w) for _, _, w, _ in solved])
+    return _finalize(op, w_all[order], Phi, solver, residual_tol,
+                     irreps=tuple(tags[order].tolist()))
+
+
+def assert_same_bytes(spec, ref):
+    for field in ("eigenvalues", "eigenvectors", "residuals"):
+        a, b = getattr(spec, field), getattr(ref, field)
+        assert a.shape == b.shape and a.dtype == b.dtype, field
+        assert a.tobytes(order="A") == b.tobytes(order="A"), field
+        assert a.flags.f_contiguous == b.flags.f_contiguous, field
+    assert spec.irreps == ref.irreps
+    assert spec.solver == ref.solver
+
+
+def spy_on_blocks(monkeypatch):
+    """Record the arguments of every call of the fused pass."""
+    calls = []
+    fused = solver._spectrum
+
+    def spy(*args):
+        calls.append(args)
+        return fused(*args)
+
+    monkeypatch.setattr(solver, "_spectrum", spy)
+    return calls
+
+
+ORACLE_CASES = [(level, kind) for level in range(4)
+                for kind in ("full", "dirichlet", "boundary")
+                if (level, kind) != (0, "dirichlet")]
+
+
+@pytest.mark.parametrize("columns", (None, 1, 7))
+@pytest.mark.parametrize("level,kind", ORACLE_CASES)
+def test_fused_full_matches_two_pass(level, kind, columns, monkeypatch,
+                                     chunk_width):
+    op = assemble(build_mesh(level), kind)
+    if columns:
+        chunk_width(columns, op.dimension)
+    calls = spy_on_blocks(monkeypatch)
+    spec = eig_full(op)
+    assert_same_bytes(spec, _merge(*calls[0]))
+
+
+@pytest.mark.parametrize("columns", (None, 1, 7))
+@pytest.mark.parametrize("which", ("smallest", "largest"))
+@pytest.mark.parametrize("kind", ("full", "dirichlet", "boundary"))
+@pytest.mark.parametrize("level", (1, 2, 3))
+def test_fused_partial_matches_two_pass(level, kind, which, columns,
+                                        monkeypatch, chunk_width):
+    op = assemble(build_mesh(level), kind)
+    if columns:
+        chunk_width(columns, op.dimension)
+    calls = spy_on_blocks(monkeypatch)
+    for k in sorted({min(k, op.dimension) for k in (1, 8, 20)}):
+        spec = eig_partial(op, k, which=which)
+        assert_same_bytes(spec, _merge(*calls[-1]))
+
+
+def block_eigenpairs(op):
+    """The per-row block eigenpairs eig_full hands to the fused pass."""
+    solved = []
+    for blk, A in reduced_blocks(op, symmetrize(op)):
+        w, Y = scipy.linalg.eigh(A.toarray(), overwrite_a=True,
+                                 check_finite=False)
+        solved += [(tag, Q, w, Y) for tag, Q in blk.rows]
+    return solved
+
+
+def test_fused_level4_matches_two_pass(op4_full, spec4_full, op4_dir,
+                                       spec4_dir):
+    for op, spec in ((op4_full, spec4_full), (op4_dir, spec4_dir)):
+        ref = _merge(op, block_eigenpairs(op), slice(None), "dense",
+                     solver.RESIDUAL_TOL_DEFAULT)
+        assert_same_bytes(spec, ref)
+        del ref
+
+
+@pytest.mark.parametrize("call", ("full", "smallest", "largest"))
+def test_fused_residual_error_matches_two_pass(call, op2_dir, monkeypatch):
+    calls = spy_on_blocks(monkeypatch)
+    with pytest.raises(NumericalError) as fused:
+        if call == "full":
+            eig_full(op2_dir, residual_tol=1e-30)
+        else:
+            eig_partial(op2_dir, 8, which=call, residual_tol=1e-30)
+    with pytest.raises(NumericalError) as ref:
+        _merge(*calls[0])
+    assert str(fused.value) == str(ref.value)
+    assert "residuals above tolerance; first at pair" in str(fused.value)
+
+
+def test_fused_psd_error_matches_two_pass(op2_full, monkeypatch):
+    def shifted(op, D):
+        # push the first block's lowest eigenvalue far below zero
+        out = reduced_blocks(op, D)
+        blk, A = out[0]
+        out[0] = (blk, (A - 5.0 * sparse.identity(A.shape[0])).tocsr())
+        return out
+
+    monkeypatch.setattr(solver, "reduced_blocks", shifted)
+    calls = spy_on_blocks(monkeypatch)
+    with pytest.raises(NumericalError) as fused:
+        eig_full(op2_full)
+    with pytest.raises(NumericalError) as ref:
+        _merge(*calls[0])
+    assert str(fused.value) == str(ref.value)
+    assert "operator should be PSD" in str(fused.value)

@@ -6,7 +6,14 @@ from scipy import sparse
 from snowlab.lattice import build_mesh
 from snowlab.operators import assemble
 from snowlab.solver import eig_full, symmetrize
-from snowlab.symmetry import IRREPS, TRIVIAL_TAG, irrep_blocks
+from snowlab.symmetry import (
+    GROUP_ORDER,
+    IRREPS,
+    TRIVIAL_TAG,
+    _NONZERO,
+    irrep_blocks,
+    vertex_permutations,
+)
 
 ORDER = ("A1", "A2", "B1", "B2", "E1", "E1'", "E2", "E2'")
 
@@ -144,3 +151,58 @@ def test_operators_commute_with_the_maps(mesh3, kind):
     for p in lattice_maps(op):
         assert np.array_equal(op.m[p], op.m)
         assert (op.S[p][:, p] != op.S).nnz == 0
+
+
+# -- reference: the scipy-built bases that the direct CSC construction
+# replaced, kept verbatim as the array-equality oracle -----------------------
+
+def _orbit_vectors(targets: np.ndarray, coef: np.ndarray,
+                   d: int) -> sparse.csc_matrix:
+    """Column c*o + j = sum_g coef[g, j] e_{targets[g, o]} for c = coef.shape[1]
+    candidates per orbit o (repeated targets add up)."""
+    c = coef.shape[1]
+    rows = np.repeat(targets, c, axis=1)
+    cols = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)
+    vals = np.tile(coef, (1, targets.shape[1]))
+    M = sparse.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                          shape=(d, rows.shape[1])).tocsc()
+    M.eliminate_zeros()
+    return M
+
+
+def scipy_bases(op):
+    """(tag, basis) of every irrep row, built with scipy sparse algebra."""
+    d = op.dimension
+    perms = vertex_permutations(op)
+    targets = perms[:, np.unique(perms.min(axis=0))]
+    srt = np.sort(targets, axis=0)
+    free = 1 + np.count_nonzero(np.diff(srt, axis=0), axis=0) == GROUP_ORDER
+
+    out = []
+    for tag, D in IRREPS.items():
+        dim = D.shape[1]
+        rows = [_orbit_vectors(targets, D[:, i, :], d) for i in range(dim)]
+        norms = np.sqrt(np.asarray(rows[0].multiply(rows[0]).sum(axis=0)))
+        norms = norms.reshape(-1, dim)
+        first = np.arange(dim) == norms.argmax(axis=1)[:, None]
+        keep = (free[:, None] | (first & (norms > _NONZERO))).ravel()
+        scale = sparse.diags(1.0 / norms.ravel()[keep])
+        basis = [(R[:, keep] @ scale).tocsc() for R in rows]
+        tags = [tag] if dim == 1 else [tag, tag + "'"]
+        out += list(zip(tags, basis))
+    return out
+
+
+@pytest.mark.parametrize("level", (1, 2, 3, 4, 5))
+@pytest.mark.parametrize("kind", ("full", "dirichlet", "boundary"))
+def test_direct_bases_match_scipy_built(level, kind):
+    op = assemble(build_mesh(level), kind)
+    got = [row for blk in irrep_blocks(op) for row in blk.rows]
+    want = scipy_bases(op)
+    assert [t for t, _ in got] == [t for t, _ in want] == list(ORDER)
+    for (tag, Q), (_, R) in zip(got, want):
+        assert Q.format == "csc" and Q.shape == R.shape, tag
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(Q, name), getattr(R, name)
+            assert a.dtype == b.dtype, (tag, name)
+            assert np.array_equal(a, b), (tag, name)
