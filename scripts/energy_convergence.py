@@ -8,6 +8,7 @@ per-level table with increments so the geometric decay is visible.
 
 import argparse
 
+from snowlab.cli import FUNCTIONS
 from snowlab.operators import energy_sequence
 
 
@@ -17,13 +18,7 @@ def main() -> None:
     ap.add_argument("--function", type=str, default="linear-x")
     args = ap.parse_args()
 
-    fn = {
-        "one": lambda x, y: 1.0,
-        "linear-x": lambda x, y: x,
-        "linear-y": lambda x, y: y,
-        "product": lambda x, y: x * y,
-        "quadratic": lambda x, y: x * x + y * y,
-    }[args.function]
+    fn = FUNCTIONS[args.function]
 
     interior = energy_sequence(fn, args.n_max, part="interior")
     boundary = energy_sequence(fn, args.n_max, part="boundary")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,7 +122,10 @@ class _Parser(argparse.ArgumentParser):
         raise CLIUsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, each call fills a fresh namespace."""
     p = _Parser(prog="snowlab", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"snowlab {__version__}")
     sub = p.add_subparsers(dest="command", metavar="command")

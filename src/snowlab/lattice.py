@@ -12,9 +12,12 @@ to the middle third of every boundary edge (an edge that belongs to exactly
 one triangle).  The resulting boundary polygon is the level-n Koch snowflake
 pre-fractal.
 
-Construction, validation and vertex lookup work on int64 arrays: a point is
-keyed by one integer whose order is (a, b) lex order, and deduplication and
-edge counting are np.unique over such keys.
+Construction works on boolean occupancy grids of up and down unit
+triangles indexed by anchor lattice point: refinement is strided grid
+assignment, and vertices, triangles and edges are read off the grids in
+row-major (a, b) order, which is lex order, so nothing is sorted.
+Validation and vertex lookup key a point by one int64 whose order is (a, b)
+lex order; validate's uniqueness and edge counts are np.unique over keys.
 """
 
 from __future__ import annotations
@@ -35,18 +38,14 @@ GUARD_ENV_VAR = "SNOWLAB_GUARD_LEVEL"
 
 SQRT3_2 = np.sqrt(3.0) / 2.0
 
-# The nine unit triangles of a side-3 lattice triangle (a, b, c), as (i, j)
-# multipliers of u = (b - a)/3 and v = (c - a)/3 for each corner: the
-# upward (p, p + u, p + v) and, where i + j < 2, downward
-# (p + u, p + u + v, p + v) triangles at p = a + i*u + j*v.
-SUBDIVISION = np.array([
-    [(0, 0), (1, 0), (0, 1)], [(1, 0), (1, 1), (0, 1)],
-    [(0, 1), (1, 1), (0, 2)], [(1, 1), (1, 2), (0, 2)],
-    [(0, 2), (1, 2), (0, 3)],
-    [(1, 0), (2, 0), (1, 1)], [(2, 0), (2, 1), (1, 1)],
-    [(1, 1), (2, 1), (1, 2)],
-    [(2, 0), (3, 0), (2, 1)],
-], dtype=np.int64)
+# Unit triangles live on a (2, A, B) boolean grid indexed by type and
+# anchor lattice point q: type 0 is the up triangle (q, q + (1,0), q + (0,1)),
+# type 1 the down triangle (q + (1,0), q + (0,1), q + (1,1)).  Scaled by 3,
+# a type-s triangle splits into type-t unit triangles at 3q + _SPLIT[s][t].
+_SPLIT = ((((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)),
+           ((0, 0), (1, 0), (0, 1))),
+          (((2, 1), (1, 2), (2, 2)),
+           ((2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2))))
 
 
 class LevelGuardError(Exception):
@@ -189,50 +188,34 @@ def _lex_keys(points: np.ndarray):
     return lo, span, key
 
 
-def _subdivide(tris: np.ndarray) -> np.ndarray:
-    """Split (T, 3, 2) side-3 lattice triangles into (9T, 3, 2) unit ones."""
-    a = tris[:, 0]
-    u = (tris[:, 1] - a) // 3
-    v = (tris[:, 2] - a) // 3
-    i = SUBDIVISION[None, :, :, 0, None]
-    j = SUBDIVISION[None, :, :, 1, None]
-    out = (a[:, None, None] + i * u[:, None, None]
-           + j * v[:, None, None])
-    return out.reshape(-1, 3, 2)
-
-
-def _boundary_edges_oriented(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary edges of (T, 3, 2) unit triangles, interior on the left.
-
-    Returns (p, q) as two (B, 2) arrays such that the unique triangle
-    containing each edge lies on the left of p -> q.
+def _refine_grids(tri: np.ndarray, origin: np.ndarray):
+    """One inductive step on a triangle grid with a zero border of one cell
+    and the anchor of its cell (0, 0): scale by 3, subdivide into nine,
+    append outward triangles on the middle thirds of the boundary edges.
+    The new grid is trimmed to a zero border of one cell again.
     """
-    p = tris.reshape(-1, 2)                       # corner k of each triangle
-    q = np.roll(tris, -1, axis=1).reshape(-1, 2)  # corner k + 1
-    r = np.roll(tris, -2, axis=1).reshape(-1, 2)  # the opposite corner
-    # a unit lattice edge is fixed by the sum of its ends: the parity of the
-    # sum gives the offset up to sign, so the sum keys the undirected edge
-    _, _, key = _lex_keys(p + q)
-    _, first, count = np.unique(key, return_index=True, return_counts=True)
-    once = first[count == 1]
-    p, q, r = p[once], q[once], r[once]
-    d, w = q - p, r - p
-    flip = d[:, 0] * w[:, 1] - d[:, 1] * w[:, 0] < 0  # cross(d, w) < 0
-    return np.where(flip[:, None], q, p), np.where(flip[:, None], p, q)
+    _, A, B = tri.shape
+    new = np.zeros((2, 3 * A + 3, 3 * B + 3), dtype=bool)  # at 3 * origin - 1
 
+    def put(t, src, off):  # type-t triangles at 3q + off for each q in src
+        new[t, 1 + off[0]::3, 1 + off[1]::3][:A, :B] |= src
 
-def _refine(tris: np.ndarray) -> np.ndarray:
-    """One inductive step: scale by 3, subdivide into nine, append outward
-    triangles on the middle thirds of the previous boundary edges."""
-    p, q = _boundary_edges_oriented(tris)
-    d = q - p  # unit vector at the new scale
-    u = 3 * p + d
-    v = u + d
-    # interior is on the left of p -> q, so the outward apex is on the right:
-    # w = u + rot_minus60(d)
-    w = u + np.stack((d[:, 0] + d[:, 1], -d[:, 0]), axis=1)
-    outward = np.stack((u, v, w), axis=1)
-    return np.concatenate((_subdivide(3 * tris), outward))
+    for s, t in np.ndindex(2, 2):
+        for off in _SPLIT[s][t]:
+            put(t, tri[s], off)
+    # a boundary edge has one incident triangle; the outward triangle on
+    # its middle third lies on the other side
+    up, down = tri
+    put(1, up & ~np.roll(down, 1, axis=1), (1, -1))  # edge q, q + (1,0)
+    put(1, up & ~np.roll(down, 1, axis=0), (-1, 1))  # edge q, q + (0,1)
+    put(1, up & ~down, (1, 1))                # edge q + (1,0), q + (0,1)
+    put(0, down & ~np.roll(up, -1, axis=1), (1, 3))
+    put(0, down & ~np.roll(up, -1, axis=0), (3, 1))
+    put(0, down & ~up, (1, 1))
+
+    a = np.flatnonzero(new.any(axis=(0, 2)))[[0, -1]] + (-1, 2)
+    b = np.flatnonzero(new.any(axis=(0, 1)))[[0, -1]] + (-1, 2)
+    return new[:, a[0]:a[1], b[0]:b[1]], 3 * origin - 1 + (a[0], b[0])
 
 
 def build_mesh(level: int, guard: int | None = None) -> Mesh:
@@ -254,31 +237,47 @@ def build_mesh(level: int, guard: int | None = None) -> Mesh:
             f"level {level} exceeds guard {limit}; "
             f"raise {GUARD_ENV_VAR} to proceed")
 
-    tris = np.array([[(0, 0), (1, 0), (0, 1)]], dtype=np.int64)
+    # the zero border keeps every one-cell shift (np.roll) exact
+    tri = np.zeros((2, 3, 3), dtype=bool)
+    tri[0, 1, 1] = True
+    origin = np.array([-1, -1])
     for _ in range(level):
-        tris = _refine(tris)
+        tri, origin = _refine_grids(tri, origin)
+    up, down = tri
+    width = up.shape[1]
 
-    lo, span, key = _lex_keys(tris)
-    ukey, inverse = np.unique(key, return_inverse=True)
-    del key, tris
-    vertices = np.stack(np.divmod(ukey, span[1]), axis=1) + lo
-    nv = len(vertices)
+    # a vertex is a corner of an up triangle at p, p - (1,0) or p - (0,1),
+    # or of a down triangle at p - (1,0), p - (0,1) or p - (1,1); its index
+    # is its rank in row-major (a, b) order
+    any_tri = up | down
+    occupied = up | np.roll(any_tri, 1, axis=0) | np.roll(any_tri, 1, axis=1)
+    occupied[1:, 1:] |= down[:-1, :-1]
+    vertices = np.stack(np.divmod(np.flatnonzero(occupied), width),
+                        axis=1) + origin
+    index = np.cumsum(occupied.ravel()) - 1
 
-    tri_idx = np.sort(inverse.reshape(-1, 3), axis=1)
-    del inverse
-    tri_idx = tri_idx[np.lexsort(tri_idx.T[::-1])]
+    # triangles whose smallest corner is p, in row order: the up triangle
+    # (p, p + (0,1), p + (1,0)), then the down one (p, p + (1,-1), p + (1,0))
+    up8, left8, below8 = (g.view(np.uint8) for g in (
+        up, np.roll(down, 1, axis=0), np.roll(down, 1, axis=1)))
+    c, is_down = np.divmod(np.flatnonzero(np.stack((up8, below8), axis=-1)), 2)
+    triangles = np.stack((index[c], index[c + 1 + is_down * (width - 2)],
+                          index[c + width]), axis=1)
 
-    i, j, k = tri_idx.T
-    ekey, count = np.unique(np.concatenate((i * nv + j, i * nv + k,
-                                            j * nv + k)),
-                            return_counts=True)
-    edges = np.stack(np.divmod(ekey, nv), axis=1)
-    edge_is_boundary = count == 1
+    # edges from p to p + (0,1), p + (1,-1), p + (1,0), in row order, kept
+    # when a triangle holds them and on the boundary when only one does
+    count = np.stack((up8 + left8, np.roll(up8, 1, axis=1) + below8,
+                      up8 + below8), axis=-1).ravel()
+    e = np.flatnonzero(count)
+    c, k = np.divmod(e, 3)
+    edges = np.stack((index[c], index[c + np.array([1, width - 1, width])[k]]),
+                     axis=1)
+    edge_is_boundary = count[e] == 1
 
-    boundary_flags = np.zeros(nv, dtype=bool)
+    boundary_flags = np.zeros(len(vertices), dtype=bool)
     boundary_flags[edges[edge_is_boundary].ravel()] = True
 
-    return Mesh(level=level, vertices=vertices, triangles=tri_idx,
+    return Mesh(level=level, vertices=vertices, triangles=triangles,
                 edges=edges, edge_is_boundary=edge_is_boundary,
                 boundary_flags=boundary_flags)
 
@@ -320,34 +319,35 @@ def boundary_cycle(mesh: Mesh) -> np.ndarray:
     Every boundary vertex has exactly two boundary edges, so the walk is a
     single simple cycle of length 3 * 4**level.
     """
-    bedges = mesh.edges[mesh.edge_is_boundary]
-    nbr: dict[int, list[int]] = {}
-    for i, j in bedges:
-        nbr.setdefault(int(i), []).append(int(j))
-        nbr.setdefault(int(j), []).append(int(i))
-    for v, ns in nbr.items():
-        if len(ns) != 2:
-            raise MeshInvariantError(
-                f"boundary vertex {v} has {len(ns)} boundary edges")
-    start = min(nbr)
-    a, b = nbr[start]
-    # choose the counterclockwise sense via the signed polygon area later;
-    # start with either neighbor and reverse if needed
-    cycle = [start, a]
-    while cycle[-1] != start:
-        prev, cur = cycle[-2], cycle[-1]
-        ns = nbr[cur]
-        cycle.append(ns[0] if ns[1] == prev else ns[1])
-    cycle.pop()
-    if len(cycle) != len(nbr):
+    ends = mesh.edges[mesh.edge_is_boundary].ravel()
+    if not len(ends):
+        raise ValueError("mesh has no boundary edges")
+    verts, first, deg = np.unique(ends, return_index=True, return_counts=True)
+    bad = np.flatnonzero(deg != 2)
+    if bad.size:  # name the bad vertex that appears first in edge order
+        v = bad[np.argmin(first[bad])]
+        raise MeshInvariantError(
+            f"boundary vertex {verts[v]} has {deg[v]} boundary edges")
+    # half-edge 2i + s runs from verts[i] to its s-th neighbour in edge order
+    # and is followed by the half-edge that leaves that neighbour the other way
+    head = ends[np.argsort(ends, kind="stable") ^ 1]
+    w = np.searchsorted(verts, head)
+    nxt = 2 * w + (head[2 * w + 1] != np.repeat(verts, 2))
+    # walk from the smallest vertex towards its first neighbour and back
+    src = np.flatnonzero(nxt)
+    chain = csgraph.depth_first_order(
+        sparse.csr_matrix((np.ones(len(src)), (src, nxt[src])),
+                          shape=(len(nxt),) * 2),
+        0, return_predecessors=False)
+    back = np.flatnonzero(head[chain] == verts[0])[0]
+    cycle = verts[chain[:back + 1] // 2]
+    if len(cycle) != len(verts):
         raise MeshInvariantError("boundary edges do not form a single cycle")
-    pts = mesh.vertices[cycle]
     # signed area in lattice coordinates (positive = counterclockwise)
-    x, y = pts[:, 0], pts[:, 1]
-    area2 = np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-    if area2 < 0:
-        cycle = [cycle[0]] + cycle[:0:-1]
-    return np.array(cycle, dtype=np.int64)
+    x, y = mesh.vertices[cycle].T
+    if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) < 0:
+        cycle = np.concatenate((cycle[:1], cycle[:0:-1]))
+    return cycle
 
 
 def boundary_hop_distance(mesh: Mesh) -> np.ndarray:

@@ -117,20 +117,20 @@ def vertex_permutations(op: OperatorBundle) -> np.ndarray | None:
 
     d = op.dimension
     perms = np.empty((GROUP_ORDER, d), dtype=np.int64)
-    for g in range(GROUP_ORDER):
-        a, b = (x, y) if g < 6 else (y, x)
-        for _ in range(g % 6):
-            a, b = -b, a + b
+    perms[0] = np.arange(d)
+    # look up the generators r and f; the other maps are their compositions
+    for g, (a, b) in ((1, (-y, x + y)), (6, (y, x))):
         want = a * span + b
         pos = np.minimum(np.searchsorted(sorted_keys, want), d - 1)
         if not np.array_equal(sorted_keys[pos], want):
             return None
-        perms[g] = order[pos]
-
-    for g in (1, 6):  # the generators r and f
-        p = perms[g]
+        p = perms[g] = order[pos]
         if not np.array_equal(op.m[p], op.m) or (op.S[p][:, p] != op.S).nnz:
             return None
+    for k in range(2, 6):
+        perms[k] = perms[1][perms[k - 1]]   # r**k = r r**(k-1)
+    for k in range(1, 6):
+        perms[6 + k] = perms[k][perms[6]]   # r**k f
     return perms
 
 

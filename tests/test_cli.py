@@ -9,7 +9,7 @@ import pytest
 
 import snowlab
 from snowlab import fileio
-from snowlab.cli import CLIUsageError, RunConfig, main
+from snowlab.cli import CLIUsageError, RunConfig, _build_parser, main
 from snowlab.lattice import build_mesh
 
 
@@ -206,6 +206,35 @@ def test_exit_code_bad_args(capsys, tmp_path):
 
     code, _, err = run(capsys)
     assert code == 2
+
+
+def test_parser_reused_across_calls(capsys, tmp_path):
+    # one parser serves every call: a usage error leaves nothing behind, and
+    # options given to one call do not become defaults of the next
+    assert _build_parser() is _build_parser()
+    code, _, err = run(capsys, "eig", "--level", "1", "--which", "middle")
+    assert (code, err.count("\n")) == (2, 1)
+    assert err.startswith("error:usage:")
+    code, out, _ = run(capsys, "mesh", "--level", "1",
+                       "--out", str(tmp_path / "m"))
+    assert code == 0 and out.startswith("mesh level=1 ")
+
+    custom = ("eig", "--level", "1", "--kind", "dirichlet", "--c0", "2",
+              "--solver", "iterative", "--k", "1", "--which", "largest",
+              "--seed", "5", "--out", str(tmp_path / "a"))
+    assert run(capsys, *custom)[0] == 0
+    assert run(capsys, "eig", "--level", "1",
+               "--out", str(tmp_path / "b"))[0] == 0
+    config = json.loads((tmp_path / "b" / "metadata.json").read_text())
+    assert config["config"] == RunConfig(
+        command="eig", level=1, out=str(tmp_path / "b")).to_json()
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"snowlab {snowlab.__version__}\n"
+    code, _, err = run(capsys, "mesh")
+    assert code == 2 and "--level" in err
 
 
 def test_deterministic_rerun(capsys, tmp_path):

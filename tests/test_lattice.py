@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from collections import deque
 
@@ -11,6 +12,8 @@ from snowlab.lattice import (
     GUARD_ENV_VAR,
     LevelGuardError,
     Mesh,
+    MeshInvariantError,
+    _lex_keys,
     boundary_cycle,
     boundary_hop_distance,
     build_mesh,
@@ -352,3 +355,204 @@ def test_validate_detects_corruption(mesh2, kind):
     failed = {c.name: c.detail for c in report.failures()}
     assert check in failed, str(report)
     assert failed[check] == detail
+
+
+# -- reference: the sort-based construction and the dictionary walk that the
+# occupancy grids and the array walk replaced, kept verbatim as the
+# array-equality oracle --------------------------------------------------------
+
+SUBDIVISION = np.array([
+    [(0, 0), (1, 0), (0, 1)], [(1, 0), (1, 1), (0, 1)],
+    [(0, 1), (1, 1), (0, 2)], [(1, 1), (1, 2), (0, 2)],
+    [(0, 2), (1, 2), (0, 3)],
+    [(1, 0), (2, 0), (1, 1)], [(2, 0), (2, 1), (1, 1)],
+    [(1, 1), (2, 1), (1, 2)],
+    [(2, 0), (3, 0), (2, 1)],
+], dtype=np.int64)
+
+
+def _subdivide(tris: np.ndarray) -> np.ndarray:
+    """Split (T, 3, 2) side-3 lattice triangles into (9T, 3, 2) unit ones."""
+    a = tris[:, 0]
+    u = (tris[:, 1] - a) // 3
+    v = (tris[:, 2] - a) // 3
+    i = SUBDIVISION[None, :, :, 0, None]
+    j = SUBDIVISION[None, :, :, 1, None]
+    out = (a[:, None, None] + i * u[:, None, None]
+           + j * v[:, None, None])
+    return out.reshape(-1, 3, 2)
+
+
+def _boundary_edges_oriented(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary edges of (T, 3, 2) unit triangles, interior on the left.
+
+    Returns (p, q) as two (B, 2) arrays such that the unique triangle
+    containing each edge lies on the left of p -> q.
+    """
+    p = tris.reshape(-1, 2)                       # corner k of each triangle
+    q = np.roll(tris, -1, axis=1).reshape(-1, 2)  # corner k + 1
+    r = np.roll(tris, -2, axis=1).reshape(-1, 2)  # the opposite corner
+    # a unit lattice edge is fixed by the sum of its ends: the parity of the
+    # sum gives the offset up to sign, so the sum keys the undirected edge
+    _, _, key = _lex_keys(p + q)
+    _, first, count = np.unique(key, return_index=True, return_counts=True)
+    once = first[count == 1]
+    p, q, r = p[once], q[once], r[once]
+    d, w = q - p, r - p
+    flip = d[:, 0] * w[:, 1] - d[:, 1] * w[:, 0] < 0  # cross(d, w) < 0
+    return np.where(flip[:, None], q, p), np.where(flip[:, None], p, q)
+
+
+def _refine(tris: np.ndarray) -> np.ndarray:
+    """One inductive step: scale by 3, subdivide into nine, append outward
+    triangles on the middle thirds of the previous boundary edges."""
+    p, q = _boundary_edges_oriented(tris)
+    d = q - p  # unit vector at the new scale
+    u = 3 * p + d
+    v = u + d
+    # interior is on the left of p -> q, so the outward apex is on the right:
+    # w = u + rot_minus60(d)
+    w = u + np.stack((d[:, 0] + d[:, 1], -d[:, 0]), axis=1)
+    outward = np.stack((u, v, w), axis=1)
+    return np.concatenate((_subdivide(3 * tris), outward))
+
+
+def sorted_build(level: int) -> tuple[np.ndarray, ...]:
+    """(vertices, triangles, edges, edge_is_boundary, boundary_flags) of
+    the level-n mesh by sorting and deduplicating corner keys."""
+    tris = np.array([[(0, 0), (1, 0), (0, 1)]], dtype=np.int64)
+    for _ in range(level):
+        tris = _refine(tris)
+
+    lo, span, key = _lex_keys(tris)
+    ukey, inverse = np.unique(key, return_inverse=True)
+    del key, tris
+    vertices = np.stack(np.divmod(ukey, span[1]), axis=1) + lo
+    nv = len(vertices)
+
+    tri_idx = np.sort(inverse.reshape(-1, 3), axis=1)
+    del inverse
+    tri_idx = tri_idx[np.lexsort(tri_idx.T[::-1])]
+
+    i, j, k = tri_idx.T
+    ekey, count = np.unique(np.concatenate((i * nv + j, i * nv + k,
+                                            j * nv + k)),
+                            return_counts=True)
+    edges = np.stack(np.divmod(ekey, nv), axis=1)
+    edge_is_boundary = count == 1
+
+    boundary_flags = np.zeros(nv, dtype=bool)
+    boundary_flags[edges[edge_is_boundary].ravel()] = True
+    return vertices, tri_idx, edges, edge_is_boundary, boundary_flags
+
+
+def dict_walk_cycle(mesh: Mesh) -> np.ndarray:
+    """Boundary vertices in polygon order, by walking a dictionary of
+    boundary neighbours."""
+    bedges = mesh.edges[mesh.edge_is_boundary]
+    nbr: dict[int, list[int]] = {}
+    for i, j in bedges:
+        nbr.setdefault(int(i), []).append(int(j))
+        nbr.setdefault(int(j), []).append(int(i))
+    for v, ns in nbr.items():
+        if len(ns) != 2:
+            raise MeshInvariantError(
+                f"boundary vertex {v} has {len(ns)} boundary edges")
+    start = min(nbr)
+    a, b = nbr[start]
+    # choose the counterclockwise sense via the signed polygon area later;
+    # start with either neighbor and reverse if needed
+    cycle = [start, a]
+    while cycle[-1] != start:
+        prev, cur = cycle[-2], cycle[-1]
+        ns = nbr[cur]
+        cycle.append(ns[0] if ns[1] == prev else ns[1])
+    cycle.pop()
+    if len(cycle) != len(nbr):
+        raise MeshInvariantError("boundary edges do not form a single cycle")
+    pts = mesh.vertices[cycle]
+    # signed area in lattice coordinates (positive = counterclockwise)
+    x, y = pts[:, 0], pts[:, 1]
+    area2 = np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    if area2 < 0:
+        cycle = [cycle[0]] + cycle[:0:-1]
+    return np.array(cycle, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=1)
+def _built(level):
+    return build_mesh(level)
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_grid_build_matches_sorted_build(level):
+    mesh = _built(level)
+    got = (mesh.vertices, mesh.triangles, mesh.edges, mesh.edge_is_boundary,
+           mesh.boundary_flags)
+    for a, b in zip(got, sorted_build(level)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_boundary_cycle_matches_dict_walk(level):
+    got, want = boundary_cycle(_built(level)), dict_walk_cycle(_built(level))
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+def _with_boundary(mesh, edges, edge_is_boundary):
+    return Mesh(level=mesh.level, vertices=mesh.vertices,
+                triangles=mesh.triangles, edges=edges,
+                edge_is_boundary=edge_is_boundary,
+                boundary_flags=mesh.boundary_flags)
+
+
+@pytest.mark.parametrize("level", (1, 2, 3))
+@pytest.mark.parametrize("defect", ["dropped-boundary-edge",
+                                    "extra-boundary-edge", "extra-spoke",
+                                    "two-cycles"])
+def test_boundary_cycle_errors_match_dict_walk(level, defect):
+    mesh = build_mesh(level)
+    e, eib = mesh.edges.copy(), mesh.edge_is_boundary.copy()
+    if defect == "dropped-boundary-edge":
+        k = np.flatnonzero(eib)[5]
+        e, eib = np.delete(e, k, axis=0), np.delete(eib, k)
+    elif defect == "extra-boundary-edge":
+        eib[np.flatnonzero(~eib)[-3]] = True
+    elif defect == "extra-spoke":
+        # an interior edge (i, j) from an interior vertex i to a boundary
+        # vertex j with a smaller boundary neighbour than i: j, which has
+        # three boundary edges now, comes first in edge order, and i, with
+        # one, has the smaller index
+        bf, be = mesh.boundary_flags, e[eib]
+        k = next(k for k, (i, j) in enumerate(e.tolist())
+                 if not bf[i] and bf[j] and be[(be == j).any(axis=1)].min() < i)
+        eib[k] = True
+    else:
+        # a second triangle of boundary edges, away from the polygon
+        n = mesh.num_vertices
+        v = np.concatenate((mesh.vertices, [(50, 50), (50, 51), (51, 50)]))
+        mesh = Mesh(level=mesh.level, vertices=v, triangles=mesh.triangles,
+                    edges=mesh.edges, edge_is_boundary=mesh.edge_is_boundary,
+                    boundary_flags=np.concatenate((mesh.boundary_flags,
+                                                   [True] * 3)))
+        e = np.concatenate((e, [(n, n + 1), (n, n + 2), (n + 1, n + 2)]))
+        eib = np.concatenate((eib, [True] * 3))
+    bad = _with_boundary(mesh, e, eib)
+    with pytest.raises(MeshInvariantError) as want:
+        dict_walk_cycle(bad)
+    with pytest.raises(MeshInvariantError) as got:
+        boundary_cycle(bad)
+    assert str(got.value) == str(want.value)
+
+
+def test_boundary_cycle_needs_boundary_edges(mesh2):
+    # the dictionary walk failed here too, on min() of no vertices
+    bad = _with_boundary(mesh2, mesh2.edges,
+                         np.zeros_like(mesh2.edge_is_boundary))
+    with pytest.raises(ValueError):
+        dict_walk_cycle(bad)
+    with pytest.raises(ValueError, match="no boundary edges"):
+        boundary_cycle(bad)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -206,3 +208,60 @@ def test_direct_bases_match_scipy_built(level, kind):
             a, b = getattr(Q, name), getattr(R, name)
             assert a.dtype == b.dtype, (tag, name)
             assert np.array_equal(a, b), (tag, name)
+
+
+# -- reference: the twelve-lookup vertex_permutations that generator
+# composition replaced, kept verbatim as the array-equality oracle -----------
+
+def twelve_lookup_permutations(op):
+    # tripled coordinates put the centroid (3**n / 3, 3**n / 3) on the lattice
+    c = 3 ** op.level
+    x = 3 * op.lattice_points[:, 0] - c
+    y = 3 * op.lattice_points[:, 1] - c
+    span = 8 * int(max(np.abs(x).max(initial=0), np.abs(y).max(initial=0))) + 1
+    keys = x * span + y
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+
+    d = op.dimension
+    perms = np.empty((GROUP_ORDER, d), dtype=np.int64)
+    for g in range(GROUP_ORDER):
+        a, b = (x, y) if g < 6 else (y, x)
+        for _ in range(g % 6):
+            a, b = -b, a + b
+        want = a * span + b
+        pos = np.minimum(np.searchsorted(sorted_keys, want), d - 1)
+        if not np.array_equal(sorted_keys[pos], want):
+            return None
+        perms[g] = order[pos]
+
+    for g in (1, 6):  # the generators r and f
+        p = perms[g]
+        if not np.array_equal(op.m[p], op.m) or (op.S[p][:, p] != op.S).nnz:
+            return None
+    return perms
+
+
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("kind", ("full", "dirichlet", "boundary"))
+def test_composed_permutations_match_twelve_lookups(level, kind):
+    op = assemble(build_mesh(level), kind)
+    got, want = vertex_permutations(op), twelve_lookup_permutations(op)
+    if level == 0 and kind != "dirichlet":
+        assert got is None and want is None
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("field", ("S", "m"))
+def test_composed_permutations_none_when_not_invariant(op2_full, field):
+    # one changed entry breaks the symmetry for both constructions
+    S, m = op2_full.S.copy(), op2_full.m.copy()
+    if field == "S":
+        S.data[7] += 1.0
+    else:
+        m[3] *= 2.0
+    op = dataclasses.replace(op2_full, S=S, m=m)
+    assert twelve_lookup_permutations(op) is None
+    assert vertex_permutations(op) is None
