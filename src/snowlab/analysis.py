@@ -230,8 +230,6 @@ def pair_eigenvectors(specL: Spectrum, specLd: Spectrum, mesh: Mesh,
     similarity matrix, best first.  The published pairs are identified
     visually; this metric is this library's quantitative stand-in.
     """
-    interior = set(mesh.interior_vertices.tolist())
-
     def restrict(spec):
         rows = np.flatnonzero(np.isin(spec.vertex_map, mesh.interior_vertices))
         verts = spec.vertex_map[rows]
@@ -244,10 +242,8 @@ def pair_eigenvectors(specL: Spectrum, specLd: Spectrum, mesh: Mesh,
     if not np.array_equal(vL, vD):
         raise AnalysisError(
             "spectra cover different interior vertex sets; cannot pair")
-    if not set(vL.tolist()) <= interior:
-        raise AnalysisError("vertex maps disagree with the mesh")
 
-    m_int = 1.0 / (9 ** mesh.level) * np.ones(len(vL))
+    m_int = _mass_vectors(mesh)[0][vL]
 
     def m_normalize(X):
         nrm = np.sqrt((m_int[:, None] * X * X).sum(axis=0))

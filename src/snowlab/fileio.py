@@ -2,7 +2,10 @@
 
 Every writer is deterministic: fixed key order, fixed row order, LF line
 endings, and floats rendered with repr() (shortest round-trip).  Rerunning
-with the same inputs reproduces each file byte for byte.
+with the same inputs reproduces each file byte for byte.  All CSV files and
+the entry block of MatrixMarket files are one table dialect, written by
+`_write_table`: a header, then one row per entry of equal-length columns.
+A reader that finds a malformed header, row or cell raises FormatError.
 
 Index conventions: CSV files that refer to matrix rows or spectrum positions
 are 1-based, matching MatrixMarket; files that refer to mesh vertices
@@ -31,22 +34,34 @@ from .analysis import (
     contour_classes,
 )
 from .lattice import Mesh, MeshInvariantError, cartesian_coordinates, validate
-from .solver import Spectrum
+from .solver import NORMALIZATION, SIGN_RULE, Spectrum
 
 MESH_KEYS = ("level", "vertices", "triangles", "edges", "boundary_vertices")
 MM_HEADER = "%%MatrixMarket matrix coordinate real symmetric"
 VECTOR_MAGIC = b"SNWV"
 VECTOR_VERSION = 1
 WRITE_BLOCK_BYTES = 1 << 24
+TABLE_BLOCK_ROWS = 1 << 16
 
 
 class FormatError(Exception):
     """A file does not conform to the expected format."""
 
 
-def _fmt(x: float) -> str:
-    # repr of a Python float is the shortest string that round-trips.
-    return repr(float(x))
+def _write_table(path: str | Path, header: str, *columns: Any,
+                 sep: str = ",") -> None:
+    """Write `header`, then one row per entry of the equal-length columns.
+
+    A cell is str() of a tolist() entry: floats by repr, integers in
+    decimal.  Rows are formatted in blocks, never as one list per column.
+    """
+    columns = [np.asarray(c) for c in columns]
+    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
+        f.write(header + "\n")
+        for lo in range(0, max(map(len, columns)), TABLE_BLOCK_ROWS):
+            cells = [c[lo:lo + TABLE_BLOCK_ROWS].tolist() for c in columns]
+            f.writelines(sep.join(map(str, row)) + "\n"
+                         for row in zip(*cells, strict=True))
 
 
 def _plain(obj: Any) -> Any:
@@ -140,12 +155,9 @@ def write_matrix_market(S: sp.spmatrix, path: str | Path) -> None:
         raise ValueError(f"matrix not square: {S.shape}")
     low = sp.tril(S, format="coo")
     order = np.lexsort((low.row, low.col))
-    rows, cols, vals = low.row[order], low.col[order], low.data[order]
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write(MM_HEADER + "\n")
-        f.write(f"{d} {d} {len(vals)}\n")
-        for i, j, v in zip(rows, cols, vals):
-            f.write(f"{i + 1} {j + 1} {_fmt(v)}\n")
+    _write_table(path, f"{MM_HEADER}\n{d} {d} {low.nnz}",
+                 low.row[order] + 1, low.col[order] + 1,
+                 low.data[order].astype(np.float64, copy=False), sep=" ")
 
 
 def read_matrix_market(path: str | Path) -> sp.csr_matrix:
@@ -161,6 +173,8 @@ def read_matrix_market(path: str | Path) -> sp.csr_matrix:
             nrows, ncols, nnz = (int(t) for t in line.split())
         except ValueError as exc:
             raise FormatError(f"bad size line: {line!r}") from exc
+        if min(nrows, nnz) < 0:
+            raise FormatError(f"bad size line: {line!r}")
         if nrows != ncols:
             raise FormatError("symmetric matrix must be square")
         rows = np.empty(nnz, dtype=np.int64)
@@ -168,13 +182,18 @@ def read_matrix_market(path: str | Path) -> sp.csr_matrix:
         vals = np.empty(nnz, dtype=np.float64)
         for k in range(nnz):
             parts = f.readline().split()
-            if len(parts) != 3:
-                raise FormatError(f"bad entry line {k + 1}")
-            rows[k] = int(parts[0]) - 1
-            cols[k] = int(parts[1]) - 1
-            vals[k] = float(parts[2])
+            try:
+                if len(parts) != 3:
+                    raise ValueError(f"{len(parts)} cells, want 3")
+                rows[k] = int(parts[0]) - 1
+                cols[k] = int(parts[1]) - 1
+                vals[k] = float(parts[2])
+            except ValueError as exc:
+                raise FormatError(f"bad entry line {k + 1}") from exc
     if nnz and (rows < cols).any():
         raise FormatError("entries above the diagonal in a symmetric file")
+    if nnz and (cols.min() < 0 or rows.max() >= nrows):
+        raise FormatError(f"entry index outside the {nrows} x {nrows} matrix")
     off = rows != cols
     full_rows = np.concatenate([rows, cols[off]])
     full_cols = np.concatenate([cols, rows[off]])
@@ -184,10 +203,8 @@ def read_matrix_market(path: str | Path) -> sp.csr_matrix:
 
 
 def write_mass_csv(m: np.ndarray, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write("index,mass\n")
-        for i, v in enumerate(m):
-            f.write(f"{i + 1},{_fmt(v)}\n")
+    m = np.asarray(m, dtype=np.float64)
+    _write_table(path, "index,mass", np.arange(1, len(m) + 1), m)
 
 
 def read_mass_csv(path: str | Path) -> np.ndarray:
@@ -197,10 +214,8 @@ def read_mass_csv(path: str | Path) -> np.ndarray:
 # -- spectrum --------------------------------------------------------------
 
 def write_eigenvalues_csv(spec: Spectrum, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write("index,eigenvalue,residual\n")
-        for i, (w, r) in enumerate(zip(spec.eigenvalues, spec.residuals)):
-            f.write(f"{i + 1},{_fmt(w)},{_fmt(r)}\n")
+    _write_table(path, "index,eigenvalue,residual",
+                 np.arange(1, spec.count + 1), spec.eigenvalues, spec.residuals)
 
 
 def read_eigenvalues_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -217,10 +232,13 @@ def _read_indexed_csv(path: str | Path, header: str, ncols: int) -> list[np.ndar
         out: list[list[float]] = [[] for _ in range(ncols)]
         for k, line in enumerate(f):
             parts = line.rstrip("\n").split(",")
-            if len(parts) != 1 + ncols or int(parts[0]) != k + 1:
-                raise FormatError(f"bad row {k + 1}: {line!r}")
-            for c in range(ncols):
-                out[c].append(float(parts[1 + c]))
+            try:
+                if len(parts) != 1 + ncols or int(parts[0]) != k + 1:
+                    raise ValueError(f"want index {k + 1} and {ncols} values")
+                for c in range(ncols):
+                    out[c].append(float(parts[1 + c]))
+            except ValueError as exc:
+                raise FormatError(f"bad row {k + 1}: {line!r}") from exc
     return [np.asarray(col, dtype=np.float64) for col in out]
 
 
@@ -262,8 +280,6 @@ def write_vectors(values: np.ndarray, meta: dict, path: str | Path) -> Path:
 
 
 def write_eigenvectors(spec: Spectrum, path: str | Path) -> Path:
-    from .solver import NORMALIZATION, SIGN_RULE
-
     meta = {"kind": spec.kind, "level": spec.level, "c0": spec.c0,
             "normalization": NORMALIZATION, "sign_rule": SIGN_RULE}
     return write_vectors(spec.eigenvectors, meta, path)
@@ -300,11 +316,7 @@ def write_counting_csv(spec: Spectrum, path: str | Path) -> None:
     """Counting-function staircase sampled at the distinct eigenvalues."""
     w = spec.eigenvalues
     xs = np.unique(w)
-    counts = np.searchsorted(w, xs, side="right")
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write("x,count\n")
-        for x, c in zip(xs, counts):
-            f.write(f"{_fmt(x)},{int(c)}\n")
+    _write_table(path, "x,count", xs, np.searchsorted(w, xs, side="right"))
 
 
 def write_regime_json(report: RegimeReport, path: str | Path) -> None:
@@ -316,11 +328,9 @@ def write_pairing_json(matches: list[PairMatch], path: str | Path) -> None:
 
 
 def write_localization_csv(report: LocalizationReport, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write("index,eigenvalue,bmf\n")
-        rows = zip(report.eigenvalues, report.boundary_mass_fraction)
-        for i, (w, b) in enumerate(rows):
-            f.write(f"{i + 1},{_fmt(w)},{_fmt(b)}\n")
+    w = report.eigenvalues
+    _write_table(path, "index,eigenvalue,bmf", np.arange(1, len(w) + 1), w,
+                 report.boundary_mass_fraction)
 
 
 def write_contour_csv(mesh: Mesh, phi: np.ndarray, eps: float,
@@ -330,20 +340,14 @@ def write_contour_csv(mesh: Mesh, phi: np.ndarray, eps: float,
     if phi.shape != (mesh.num_vertices,):
         raise ValueError(f"vector length {phi.shape} does not cover the mesh")
     xy = cartesian_coordinates(mesh)
-    classes = contour_classes(phi, eps)
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write("vertex,x,y,value,class\n")
-        for v in range(mesh.num_vertices):
-            f.write(f"{v},{_fmt(xy[v, 0])},{_fmt(xy[v, 1])},"
-                    f"{_fmt(phi[v])},{CONTOUR_CLASSES[classes[v]]}\n")
+    _write_table(path, "vertex,x,y,value,class", np.arange(mesh.num_vertices),
+                 xy[:, 0], xy[:, 1], phi,
+                 np.array(CONTOUR_CLASSES)[contour_classes(phi, eps)])
 
 
 def write_landscape_csv(vec: LandscapeVector, path: str | Path) -> None:
     """One row per operator vertex, keyed by its 0-based mesh vertex."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write("vertex,value\n")
-        for v, val in zip(vec.vertex_map, vec.values):
-            f.write(f"{int(v)},{_fmt(val)}\n")
+    _write_table(path, "vertex,value", vec.vertex_map, vec.values)
 
 
 # -- extension -------------------------------------------------------------
@@ -351,10 +355,9 @@ def write_landscape_csv(vec: LandscapeVector, path: str | Path) -> None:
 def write_boundary_csv(values: np.ndarray, path: str | Path) -> None:
     """Boundary data in mesh order; boundary_index is the 1-based rank of a
     boundary vertex within the sorted full-vertex list."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write("boundary_index,value\n")
-        for i, v in enumerate(values):
-            f.write(f"{i + 1},{_fmt(v)}\n")
+    values = np.asarray(values, dtype=np.float64)
+    _write_table(path, "boundary_index,value", np.arange(1, len(values) + 1),
+                 values)
 
 
 def read_boundary_csv(path: str | Path) -> np.ndarray:
@@ -362,17 +365,14 @@ def read_boundary_csv(path: str | Path) -> np.ndarray:
 
 
 def write_decay_csv(profile: list[tuple[int, float]], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write("distance,sup_abs\n")
-        for d, s in profile:
-            f.write(f"{int(d)},{_fmt(s)}\n")
+    _write_table(path, "distance,sup_abs",
+                 np.array([d for d, _ in profile], dtype=np.int64),
+                 np.array([s for _, s in profile], dtype=np.float64))
 
 
 def write_energy_csv(values: list[float], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write("level,energy\n")
-        for n, e in enumerate(values):
-            f.write(f"{n},{_fmt(e)}\n")
+    values = np.asarray(values, dtype=np.float64)
+    _write_table(path, "level,energy", np.arange(len(values)), values)
 
 
 # -- run metadata ----------------------------------------------------------

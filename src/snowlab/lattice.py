@@ -71,25 +71,6 @@ def guard_level() -> int:
             f"{GUARD_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def rot60(v: tuple[int, int]) -> tuple[int, int]:
-    """Rotate a lattice vector by +60 degrees."""
-    return (-v[1], v[0] + v[1])
-
-
-def rot_minus60(v: tuple[int, int]) -> tuple[int, int]:
-    """Rotate a lattice vector by -60 degrees."""
-    return (v[0] + v[1], -v[0])
-
-
-def cross(u: tuple[int, int], v: tuple[int, int]) -> int:
-    """Sign-carrying cross product of two lattice vectors.
-
-    Positive iff v lies counterclockwise of u (the basis (e1, e2) is
-    positively oriented).
-    """
-    return u[0] * v[1] - u[1] * v[0]
-
-
 @dataclass(frozen=True)
 class Mesh:
     """Level-n triangulation of the closed snowflake domain.
@@ -282,22 +263,9 @@ def build_mesh(level: int, guard: int | None = None) -> Mesh:
                 boundary_flags=boundary_flags)
 
 
-def cartesian(mesh: Mesh, v: int, scale: float = 1.0) -> tuple[float, float]:
-    """Cartesian coordinates of vertex v, for plot/contour export only.
-
-    The optional display scale multiplies the embedding; the spectral
-    pipeline never reads coordinates, so it has no effect on any operator.
-    """
-    if not 0 <= v < mesh.num_vertices:
-        raise IndexError(f"vertex index {v} out of range")
-    a, b = mesh.vertices[v]
-    h = scale * 3.0 ** (-mesh.level)
-    return ((a + 0.5 * b) * h, b * SQRT3_2 * h)
-
-
-def cartesian_coordinates(mesh: Mesh, scale: float = 1.0) -> np.ndarray:
+def cartesian_coordinates(mesh: Mesh) -> np.ndarray:
     """(V, 2) array of Cartesian coordinates for all vertices."""
-    h = scale * 3.0 ** (-mesh.level)
+    h = 3.0 ** (-mesh.level)
     a = mesh.vertices[:, 0].astype(float)
     b = mesh.vertices[:, 1].astype(float)
     return np.column_stack(((a + 0.5 * b) * h, b * SQRT3_2 * h))
@@ -493,34 +461,3 @@ def validate(mesh: Mesh) -> ValidationReport:
 
     return ValidationReport(checks=tuple(checks))
 
-
-def koch_snowflake_polygon(level: int) -> np.ndarray:
-    """Independent turtle oracle for the level-n snowflake boundary polygon.
-
-    Expands each side of the counterclockwise unit triangle by the Koch
-    rewriting rule (straight third, -60 turn, +120 turn, -60 turn), carried
-    out entirely in integer lattice coordinates at scale 3**-level.  Returns
-    the (3 * 4**level, 2) vertex sequence, counterclockwise, starting at
-    the origin.  Used to cross-check the mesh boundary cycle.
-    """
-    def expand(d, k):
-        if k == 0:
-            return [d]
-        parts = [d, rot_minus60(d), rot60(d), d]
-        out = []
-        for p in parts:
-            out.extend(expand(p, k - 1))
-        return out
-
-    s = 3 ** level
-    pts = []
-    pos = (0, 0)
-    for d0 in ((1, 0), (-1, 1), (0, -1)):
-        start = pos
-        for step in expand(d0, level):
-            pts.append(pos)
-            pos = (pos[0] + step[0], pos[1] + step[1])
-        # each side spans s lattice units
-        assert pos == (start[0] + s * d0[0], start[1] + s * d0[1])
-    assert pos == (0, 0)
-    return np.array(pts, dtype=np.int64)

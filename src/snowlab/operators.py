@@ -70,33 +70,6 @@ class OperatorBundle:
         return self.S.shape[0]
 
 
-def conductance(mesh: Mesh, p: int, q: int, c0: float = 1.0) -> float:
-    """Edge weight between vertices p and q: 1 on an interior edge,
-    c0 * 4**n on a boundary edge, 0 for a non-adjacent pair."""
-    V = mesh.num_vertices
-    if not (0 <= p < V and 0 <= q < V):
-        raise IndexError(f"vertex index out of range: ({p}, {q})")
-    if p == q:
-        return 0.0
-    key = (p, q) if p < q else (q, p)
-    idx = np.searchsorted(
-        mesh.edges[:, 0] * np.int64(V) + mesh.edges[:, 1],
-        key[0] * V + key[1])
-    if idx >= len(mesh.edges) or tuple(mesh.edges[idx]) != key:
-        return 0.0
-    if mesh.edge_is_boundary[idx]:
-        return c0 * float(4 ** mesh.level)
-    return 1.0
-
-
-def measure(mesh: Mesh, p: int) -> float:
-    """Vertex measure: 9**-n interior, 4**-n boundary."""
-    if not 0 <= p < mesh.num_vertices:
-        raise IndexError(f"vertex index {p} out of range")
-    n = mesh.level
-    return 1.0 / (4 ** n) if mesh.boundary_flags[p] else 1.0 / (9 ** n)
-
-
 def edge_conductances(mesh: Mesh, c0: float = 1.0) -> np.ndarray:
     """Per-edge conductance array aligned with mesh.edges."""
     c = np.ones(len(mesh.edges))
@@ -193,11 +166,6 @@ def _edge_energies(mesh: Mesh, u: np.ndarray, c0: float = 1.0) -> np.ndarray:
 def energy(mesh: Mesh, u: np.ndarray, c0: float = 1.0) -> float:
     """Graph energy E_n(u) over unordered adjacent pairs."""
     return float(np.sum(_edge_energies(mesh, u, c0)))
-
-
-def m_inner(op: OperatorBundle, u: np.ndarray, v: np.ndarray) -> float:
-    """Inner product <u, v>_m = sum m(p) u(p) v(p) on the operator's vertices."""
-    return float(np.sum(op.m * np.asarray(u) * np.asarray(v)))
 
 
 ENERGY_PARTS = ("total", "interior", "boundary")

@@ -307,8 +307,3 @@ def eig_partial(op: OperatorBundle, k: int, which: str = "smallest",
                      "iterative" if krylov else "iterative-dense-fallback",
                      residual_tol)
 
-
-def trace_identity(op: OperatorBundle) -> float:
-    """Sum of the diagonal of L = M^-1 S; equals the eigenvalue sum for
-    full solves (exact row-sum formula)."""
-    return float(np.sum(op.inv_m * op.S.diagonal()))

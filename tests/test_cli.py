@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -168,6 +169,15 @@ def test_extend_from_file(capsys, tmp_path):
     assert np.array_equal(back, np.arange(12, dtype=float))
 
 
+def test_extend_malformed_data(capsys, tmp_path):
+    data = tmp_path / "bd.csv"
+    data.write_text("boundary_index,value\n1,abc\n")
+    code, _, err = run(capsys, "extend", "--level", "1", "--data", str(data),
+                       "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert err == "error:invalid-input:bad row 1: '1,abc\\n'\n"
+
+
 def test_extend_bad_length(capsys, tmp_path):
     data = tmp_path / "bd.csv"
     fileio.write_boundary_csv(np.ones(5), data)
@@ -303,3 +313,48 @@ def test_eig_bytes_independent_of_blas_threads(tmp_path):
                         for name in artifacts})
         for name in artifacts:
             assert got[0][name] == got[1][name], (label, name)
+
+
+# Every subcommand and kind, writing into a fixed relative --out so that
+# metadata.json holds no temporary path.
+PINNED_INVOCATIONS = {
+    "mesh": ["mesh"],
+    "assemble-full": ["assemble", "--kind", "full"],
+    "assemble-dirichlet": ["assemble", "--kind", "dirichlet"],
+    "assemble-boundary": ["assemble", "--kind", "boundary"],
+    "eig-full": ["eig", "--kind", "full"],
+    "eig-dirichlet": ["eig", "--kind", "dirichlet"],
+    "eig-boundary": ["eig", "--kind", "boundary"],
+    "count": ["count"],
+    "landscape-full": ["landscape", "--kind", "full"],
+    "landscape-dirichlet": ["landscape", "--kind", "dirichlet"],
+    "landscape-boundary": ["landscape", "--kind", "boundary"],
+    "localize": ["localize"],
+    "extend-alternating": ["extend", "--pattern", "alternating"],
+    "extend-random": ["extend", "--pattern", "random", "--seed", "3"],
+    "energy-seq": ["energy-seq", "--part", "interior"],
+}
+# The level-0 mesh has no interior vertex, so these need a Dirichlet
+# operator with no rows and fail as invalid input.
+NO_INTERIOR = {"eig-dirichlet", "count", "landscape-dirichlet"}
+# SHA-256 of every artifact, in `sha256sum` format, recorded from the
+# per-row CSV and MatrixMarket writers that the table writer replaced.
+PINNED_DIGESTS = Path(__file__).with_name("cli_artifacts.sha256")
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_cli_artifacts_pinned(level, capsys, tmp_path, monkeypatch):
+    want = {}
+    for line in PINNED_DIGESTS.read_text().splitlines():
+        digest, name = line.split(maxsplit=1)
+        if name.startswith(f"level{level}/"):
+            want[name.removeprefix(f"level{level}/")] = digest
+    monkeypatch.chdir(tmp_path)
+    for name, args in PINNED_INVOCATIONS.items():
+        code, _, err = run(capsys, *args, "--level", str(level),
+                           "--out", f"out/{name}")
+        assert code == (2 if level == 0 and name in NO_INTERIOR else 0), err
+    got = {p.relative_to("out").as_posix():
+           hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in Path("out").glob("*/*")}
+    assert got == want

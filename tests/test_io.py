@@ -121,6 +121,65 @@ def test_matrix_market_reader_rejects_upper(tmp_path):
         fileio.read_matrix_market(path)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("2 1 abc", "bad entry line 2"),
+    ("2 x 1.0", "bad entry line 2"),
+    ("2.0 1 1.0", "bad entry line 2"),
+    ("2 1", "bad entry line 2"),
+    ("2 1 1.0 7", "bad entry line 2"),
+    ("", "bad entry line 2"),
+    ("3 1 1.0", "outside the 2 x 2 matrix"),
+    ("0 0 1.0", "outside the 2 x 2 matrix"),
+])
+def test_matrix_market_reader_rejects_malformed_entry(tmp_path, line, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    f"2 2 2\n1 1 4.0\n{line}\n")
+    with pytest.raises(fileio.FormatError, match=message):
+        fileio.read_matrix_market(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("2 2", "bad size line"),
+    ("2 2 x", "bad size line"),
+    ("-1 -1 0", "bad size line"),
+    ("2 2 -1", "bad size line"),
+    ("2 3 1", "must be square"),
+])
+def test_matrix_market_reader_rejects_bad_size_line(tmp_path, line, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    f"{line}\n1 1 4.0\n")
+    with pytest.raises(fileio.FormatError, match=message):
+        fileio.read_matrix_market(path)
+
+
+INDEXED_READERS = {
+    "boundary": (fileio.read_boundary_csv, "boundary_index,value", 1),
+    "mass": (fileio.read_mass_csv, "index,mass", 1),
+    "eigenvalues": (fileio.read_eigenvalues_csv, "index,eigenvalue,residual", 2),
+}
+
+
+@pytest.mark.parametrize("case", ["text value", "empty value", "text index",
+                                  "float index", "wrong index",
+                                  "missing value", "extra value"])
+@pytest.mark.parametrize("reader", sorted(INDEXED_READERS))
+def test_indexed_csv_reader_rejects_malformed_row(tmp_path, reader, case):
+    read, header, ncols = INDEXED_READERS[reader]
+    more = ["0.5"] * (ncols - 1)
+    row = {"text value": ["2", "abc", *more], "empty value": ["2", "", *more],
+           "text index": ["two", "0.5", *more],
+           "float index": ["2.0", "0.5", *more],
+           "wrong index": ["3", "0.5", *more], "missing value": ["2", *more],
+           "extra value": ["2", "0.5", "0.5", *more]}[case]
+    path = tmp_path / "table.csv"
+    path.write_text(f"{header}\n1,{','.join(['0.5'] * ncols)}\n"
+                    f"{','.join(row)}\n")
+    with pytest.raises(fileio.FormatError, match="bad row 2"):
+        read(path)
+
+
 def test_mass_round_trip(op2_full, tmp_path):
     path = tmp_path / "mass.csv"
     fileio.write_mass_csv(op2_full.m, path)
@@ -258,6 +317,22 @@ def test_float_formatting_round_trips(tmp_path):
     path = tmp_path / "m.csv"
     fileio.write_mass_csv(values, path)
     assert np.array_equal(fileio.read_mass_csv(path), values)
+
+
+def test_table_dialect(tmp_path, monkeypatch):
+    path = tmp_path / "table.txt"
+    columns = (np.arange(1, 6), np.array([0.1, 2.0, -0.0, 1e-300, 157464.0]),
+               np.array(["a", "b", "c", "d", "e"]))
+    want = (b"h1\nh2\n1 0.1 a\n2 2.0 b\n3 -0.0 c\n4 1e-300 d\n"
+            b"5 157464.0 e\n")
+    fileio._write_table(path, "h1\nh2", *columns, sep=" ")
+    assert path.read_bytes() == want
+    # rows formatted in blocks come out the same
+    monkeypatch.setattr(fileio, "TABLE_BLOCK_ROWS", 2)
+    fileio._write_table(path, "h1\nh2", *columns, sep=" ")
+    assert path.read_bytes() == want
+    with pytest.raises(ValueError):
+        fileio._write_table(path, "a,b", [1, 2], [1.0])
 
 
 def test_byte_identical_rewrites(mesh2, op2_full, tmp_path):

@@ -17,15 +17,61 @@ from snowlab.lattice import (
     boundary_cycle,
     boundary_hop_distance,
     build_mesh,
-    cartesian,
     cartesian_coordinates,
-    cross,
-    koch_snowflake_polygon,
     neighbors,
-    rot60,
-    rot_minus60,
     validate,
 )
+
+
+def rot60(v: tuple[int, int]) -> tuple[int, int]:
+    """Rotate a lattice vector by +60 degrees."""
+    return (-v[1], v[0] + v[1])
+
+
+def rot_minus60(v: tuple[int, int]) -> tuple[int, int]:
+    """Rotate a lattice vector by -60 degrees."""
+    return (v[0] + v[1], -v[0])
+
+
+def cross(u: tuple[int, int], v: tuple[int, int]) -> int:
+    """Sign-carrying cross product of two lattice vectors.
+
+    Positive iff v lies counterclockwise of u (the basis (e1, e2) is
+    positively oriented).
+    """
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def koch_snowflake_polygon(level: int) -> np.ndarray:
+    """Independent turtle oracle for the level-n snowflake boundary polygon.
+
+    Expands each side of the counterclockwise unit triangle by the Koch
+    rewriting rule (straight third, -60 turn, +120 turn, -60 turn), carried
+    out entirely in integer lattice coordinates at scale 3**-level.  Returns
+    the (3 * 4**level, 2) vertex sequence, counterclockwise, starting at
+    the origin.  Used to cross-check the mesh boundary cycle.
+    """
+    def expand(d, k):
+        if k == 0:
+            return [d]
+        parts = [d, rot_minus60(d), rot60(d), d]
+        out = []
+        for p in parts:
+            out.extend(expand(p, k - 1))
+        return out
+
+    s = 3 ** level
+    pts = []
+    pos = (0, 0)
+    for d0 in ((1, 0), (-1, 1), (0, -1)):
+        start = pos
+        for step in expand(d0, level):
+            pts.append(pos)
+            pos = (pos[0] + step[0], pos[1] + step[1])
+        # each side spans s lattice units
+        assert pos == (start[0] + s * d0[0], start[1] + s * d0[1])
+    assert pos == (0, 0)
+    return np.array(pts, dtype=np.int64)
 
 # Census of the first five refinement levels: total, boundary and interior
 # vertices, triangles, edges.  Boundary count is 3*4^n; Euler gives
@@ -131,12 +177,6 @@ def test_edge_lengths(mesh2):
     d = xy[mesh2.edges[:, 0]] - xy[mesh2.edges[:, 1]]
     lengths = np.hypot(d[:, 0], d[:, 1])
     assert np.allclose(lengths, 3.0**-2, rtol=1e-12, atol=0)
-
-
-def test_cartesian_scale(mesh1):
-    x1, y1 = cartesian(mesh1, 0, scale=1.0)
-    x3, y3 = cartesian(mesh1, 0, scale=3.0)
-    assert (x3, y3) == (3 * x1, 3 * y1)
 
 
 @pytest.mark.parametrize("level", range(4))

@@ -14,9 +14,14 @@ from snowlab.solver import (
     eig_full,
     eig_partial,
     symmetrize,
-    trace_identity,
 )
 from snowlab.symmetry import reduced_blocks
+
+
+def trace_identity(op: OperatorBundle) -> float:
+    """Sum of the diagonal of L = M^-1 S; equals the eigenvalue sum for
+    full solves (exact row-sum formula)."""
+    return float(np.sum(op.inv_m * op.S.diagonal()))
 
 
 def brute_force_eigenvalues(op) -> np.ndarray:
