@@ -286,12 +286,14 @@ def _cmd_landscape(cfg: RunConfig) -> None:
 
 def _cmd_localize(cfg: RunConfig) -> None:
     mesh = build_mesh(cfg.level)
+    # the full spectrum has one pair per vertex: check before solving
+    index = cfg.index if cfg.index is not None else mesh.num_vertices
+    if index > mesh.num_vertices:
+        raise CLIUsageError(
+            f"index {index} exceeds spectrum size {mesh.num_vertices}")
     op = assemble(mesh, "full", cfg.c0)
     spec = eig_full(op)
     report = localization_report(spec, mesh, eps=cfg.eps)
-    index = cfg.index if cfg.index is not None else spec.count
-    if index > spec.count:
-        raise CLIUsageError(f"index {index} exceeds spectrum size {spec.count}")
     out = _outdir(cfg)
     fileio.write_localization_csv(report, out / "localization.csv")
     fileio.write_contour_csv(mesh, spec.eigenvectors[:, index - 1], cfg.eps,

@@ -14,9 +14,11 @@ are 1-based, matching MatrixMarket; files that refer to mesh vertices
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 from typing import Any
@@ -40,12 +42,33 @@ MESH_KEYS = ("level", "vertices", "triangles", "edges", "boundary_vertices")
 MM_HEADER = "%%MatrixMarket matrix coordinate real symmetric"
 VECTOR_MAGIC = b"SNWV"
 VECTOR_VERSION = 1
+VECTOR_HEADER = struct.Struct("<4sIQQ")  # magic, version, d, k
 WRITE_BLOCK_BYTES = 1 << 24
 TABLE_BLOCK_ROWS = 1 << 16
 
 
 class FormatError(Exception):
     """A file does not conform to the expected format."""
+
+
+@contextlib.contextmanager
+def _read_text(path: str | Path):
+    """Open `path` for reading as UTF-8 text; bytes that do not decode, met
+    anywhere in the `with` block, raise FormatError."""
+    try:
+        with Path(path).open("r", encoding="utf-8") as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}") from exc
+
+
+def _read_json(path: str | Path) -> Any:
+    with _read_text(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"invalid JSON: {exc}") from exc
 
 
 def _write_table(path: str | Path, header: str, *columns: Any,
@@ -113,8 +136,10 @@ def write_mesh_json(mesh: Mesh, path: str | Path) -> None:
 
 def read_mesh_json(path: str | Path) -> Mesh:
     """Load a mesh file and re-check every mesh invariant."""
-    with Path(path).open("r", encoding="utf-8") as f:
-        data = json.load(f)
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise FormatError(
+            f"mesh file holds a JSON {type(data).__name__}, want an object")
     if tuple(data.keys()) != MESH_KEYS:
         raise FormatError(f"mesh file keys {tuple(data.keys())}, want {MESH_KEYS}")
     level = data["level"]
@@ -162,7 +187,7 @@ def write_matrix_market(S: sp.spmatrix, path: str | Path) -> None:
 
 def read_matrix_market(path: str | Path) -> sp.csr_matrix:
     """Parse our symmetric coordinate files back to a full CSR matrix."""
-    with Path(path).open("r", encoding="utf-8") as f:
+    with _read_text(path) as f:
         header = f.readline().rstrip("\n")
         if header != MM_HEADER:
             raise FormatError(f"bad MatrixMarket header: {header!r}")
@@ -225,7 +250,7 @@ def read_eigenvalues_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 def _read_indexed_csv(path: str | Path, header: str, ncols: int) -> list[np.ndarray]:
     """Shared reader for 1-based 'index,...' CSVs; checks index contiguity."""
-    with Path(path).open("r", encoding="utf-8") as f:
+    with _read_text(path) as f:
         got = f.readline().rstrip("\n")
         if got != header:
             raise FormatError(f"bad header {got!r}, want {header!r}")
@@ -263,10 +288,7 @@ def write_vectors(values: np.ndarray, meta: dict, path: str | Path) -> Path:
     d, k = arr.shape
     path = Path(path)
     with path.open("wb") as f:
-        f.write(VECTOR_MAGIC)
-        f.write(struct.pack("<I", VECTOR_VERSION))
-        f.write(struct.pack("<Q", d))
-        f.write(struct.pack("<Q", k))
+        f.write(VECTOR_HEADER.pack(VECTOR_MAGIC, VECTOR_VERSION, d, k))
         step = max(1, WRITE_BLOCK_BYTES // (8 * max(d, 1)))
         for lo in range(0, k, step):
             f.write(np.ascontiguousarray(arr[:, lo:lo + step].T, dtype="<f8"))
@@ -290,13 +312,24 @@ def read_vectors(path: str | Path) -> tuple[np.ndarray, dict]:
     absent."""
     path = Path(path)
     with path.open("rb") as f:
-        magic = f.read(4)
-        if magic != VECTOR_MAGIC:
-            raise FormatError(f"bad magic {magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
+        head = f.read(VECTOR_HEADER.size)
+        if head[:4] != VECTOR_MAGIC:
+            raise FormatError(f"bad magic {head[:4]!r}")
+        if len(head) < VECTOR_HEADER.size:
+            raise FormatError(f"{len(head)} bytes, shorter than the "
+                              f"{VECTOR_HEADER.size}-byte header")
+        _, version, d, k = VECTOR_HEADER.unpack(head)
         if version != VECTOR_VERSION:
             raise FormatError(f"unsupported version {version}")
-        d, k = struct.unpack("<QQ", f.read(16))
+        # check the declared size against the file before allocating it
+        want = 8 * d * k
+        have = os.fstat(f.fileno()).st_size - VECTOR_HEADER.size
+        if have < want:
+            raise FormatError(f"truncated vector payload: {d} x {k} values "
+                              f"need {want} bytes, the file holds {have}")
+        if have > want:
+            raise FormatError(f"{have - want} bytes after the {d} x {k} "
+                              f"vector payload")
         # the payload is vector by vector, which is column-major (d, k):
         # read it straight into that array
         arr = np.empty((d, k), dtype="<f8", order="F")
@@ -305,8 +338,7 @@ def read_vectors(path: str | Path) -> tuple[np.ndarray, dict]:
     sidecar = Path(str(path) + ".json")
     meta: dict = {}
     if sidecar.exists():
-        with sidecar.open("r", encoding="utf-8") as f:
-            meta = json.load(f)
+        meta = _read_json(sidecar)
     return arr, meta
 
 

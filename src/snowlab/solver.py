@@ -23,8 +23,11 @@ block.  The dense path (eig_full, up to the guard) runs one
 scipy.linalg.eigh per block.  The Krylov path (eig_partial) runs one
 ARPACK shift-invert solve per block at either end of the spectrum and
 merges the block windows exactly; it is validated against the dense path
-at levels <= 4.  Both return irrep tags and order equal eigenvalues the
-same way.
+at levels <= 4.  The shift lies outside the spectrum, so each shifted
+block is definite and is factored once by SuperLU in symmetric mode:
+diagonal pivots on a minimum-degree ordering of its pattern, which fills
+less than a partially pivoted factorization.  Both return irrep tags and
+order equal eigenvalues the same way.
 
 Both finish the block eigenvectors in one pass, a cache-sized chunk of
 columns at a time, with the same floating-point operations per column
@@ -245,10 +248,20 @@ def _extremal_pairs(A: sparse.csr_matrix, count: int, which: str,
                                  check_finite=False)
         keep = slice(0, count) if which == "smallest" else slice(b - count, b)
         return w[keep], Y[:, keep], False
+    # A - sigma I is definite (see eig_partial), so diagonal pivots are
+    # stable and the minimum-degree ordering of its symmetric pattern is
+    # kept; it fills less than the partially pivoted COLAMD factorization
+    # eigsh would build itself
+    lu = scipy.sparse.linalg.splu(
+        (A - sigma * sparse.identity(b, format="csr")).tocsc(),
+        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True})
+    OPinv = scipy.sparse.linalg.LinearOperator((b, b), matvec=lu.solve,
+                                               dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(b)
     try:
         w, Y = scipy.sparse.linalg.eigsh(A, k=count, sigma=sigma, which="LM",
-                                         v0=v0, maxiter=maxiter)
+                                         v0=v0, maxiter=maxiter, OPinv=OPinv)
     except ArpackNoConvergence as exc:
         got = len(exc.eigenvalues)
         raise NumericalError(
@@ -271,9 +284,11 @@ def eig_partial(op: OperatorBundle, k: int, which: str = "smallest",
     sigma = -1 for which="smallest" (D + I is positive definite) and, for
     which="largest", a shift above the Gershgorin bound of D, so the
     shifted block is negative definite and its extremal eigenvalues are
-    the ones nearest the shift.  Every block's start vector comes from
-    `seed`, so runs are reproducible.  A block whose window is at least
-    its size minus one is solved by a dense eigh.
+    the ones nearest the shift.  Either way the shifted block is definite,
+    so its one factorization takes diagonal pivots in SuperLU's symmetric
+    mode.  Every block's start vector comes from `seed`, so runs are
+    reproducible.  A block whose window is at least its size minus one is
+    solved by a dense eigh.
 
     The result carries irrep tags and the canonical E-pair basis, as from
     eig_full, and its pairs are ordered the same way.  solver is

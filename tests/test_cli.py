@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import snowlab
-from snowlab import fileio
+from snowlab import cli, fileio
 from snowlab.cli import CLIUsageError, RunConfig, _build_parser, main
 from snowlab.lattice import build_mesh
+from snowlab.solver import eig_full
 
 
 def run(capsys, *argv):
@@ -145,6 +146,24 @@ def test_localize_index_range(capsys, tmp_path):
     assert err.startswith("error:usage:")
 
 
+def test_localize_index_checked_before_solve(capsys, tmp_path, monkeypatch):
+    # the full spectrum has one pair per vertex: 5557 at level 4
+    solves = []
+
+    def spy(op, *args, **kwargs):
+        solves.append(op.level)
+        return eig_full(op, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "eig_full", spy)
+    code, _, err = run(capsys, "localize", "--level", "4", "--index", "5558",
+                       "--out", str(tmp_path / "x"))
+    assert (code, solves) == (2, [])
+    assert err == "error:usage:index 5558 exceeds spectrum size 5557\n"
+    code, _, _ = run(capsys, "localize", "--level", "1", "--index", "13",
+                     "--out", str(tmp_path / "y"))
+    assert (code, solves) == (0, [1])
+
+
 def test_extend_command(capsys, tmp_path):
     out = tmp_path / "x"
     code, stdout, _ = run(capsys, "extend", "--level", "2",
@@ -176,6 +195,15 @@ def test_extend_malformed_data(capsys, tmp_path):
                        "--out", str(tmp_path / "x"))
     assert code == 2
     assert err == "error:invalid-input:bad row 1: '1,abc\\n'\n"
+
+
+def test_extend_data_not_utf8(capsys, tmp_path):
+    data = tmp_path / "bd.csv"
+    data.write_bytes(b"boundary_index,value\n1,\xff\n")
+    code, _, err = run(capsys, "extend", "--level", "1", "--data", str(data),
+                       "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert err == "error:invalid-input:not UTF-8 text: byte 0xff\n"
 
 
 def test_extend_bad_length(capsys, tmp_path):

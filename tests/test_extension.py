@@ -133,7 +133,8 @@ def test_alternating_data_matches_cycle_positions():
 
 
 # SHA-256 of harmonic_extend(alternating data), recorded from the splu path
-# before the interior system was assembled as CSR only.
+# before the interior system was assembled as CSR only.  Level 5 is solved
+# by CG by default, so its test forces the splu path.
 EXTENSION_DIGESTS = {
     0: "a5e608740a9c9548b0737a9fc46d3220ba3d58cae3f15a5deec72238642a19a2",
     1: "fc0a7a762908f2139046b3bdf40cc0b3a250cbfd4017296eaa3b3487c2c7493d",
@@ -145,8 +146,11 @@ EXTENSION_DIGESTS = {
 
 
 @pytest.mark.parametrize("level", sorted(EXTENSION_DIGESTS))
-def test_direct_extension_pinned(level):
+def test_direct_extension_pinned(level, monkeypatch):
     mesh = build_mesh(level)
+    if level == 5:
+        monkeypatch.setattr(extension, "DIRECT_SOLVE_LIMIT",
+                            mesh.num_interior_vertices)
     u = harmonic_extend(mesh, alternating_boundary_data(mesh))
     assert hashlib.sha256(u.tobytes()).hexdigest() == EXTENSION_DIGESTS[level]
 
@@ -188,7 +192,8 @@ def test_multigrid_is_symmetric(mesh3, monkeypatch):
     assert x @ M.matvec(x) > 0
 
 
-def test_level6_multigrid_cg(monkeypatch):
+def _count_cg_iterations(monkeypatch) -> list:
+    """Make extension's cg append its iteration count to the list returned."""
     iterations = []
 
     def counted_cg(*args, **kwargs):
@@ -198,10 +203,33 @@ def test_level6_multigrid_cg(monkeypatch):
             iterations[-1] += 1
         return cg(*args, callback=count, **kwargs)
 
+    monkeypatch.setattr(extension, "cg", counted_cg)
+    return iterations
+
+
+@pytest.mark.parametrize("pattern", ["alternating", "random"])
+def test_level5_multigrid_cg(pattern, monkeypatch):
+    mesh = build_mesh(5)
+    assert (build_mesh(4).num_interior_vertices <= extension.DIRECT_SOLVE_LIMIT
+            < mesh.num_interior_vertices)
+    f = (alternating_boundary_data(mesh) if pattern == "alternating"
+         else random_boundary_data(mesh, seed=5)).values
+    iterations = _count_cg_iterations(monkeypatch)
+    u = harmonic_extend(mesh, f)
+    assert len(iterations) == 1 and iterations[0] <= 40
+    _check_harmonic(mesh, f, u)
+    monkeypatch.setattr(extension, "DIRECT_SOLVE_LIMIT",
+                        mesh.num_interior_vertices)
+    direct = harmonic_extend(mesh, f)
+    assert len(iterations) == 1
+    assert np.abs(u - direct).max() <= 1e-10 * np.abs(f).max()
+
+
+def test_level6_multigrid_cg(monkeypatch):
     mesh = build_mesh(6)
     assert mesh.num_interior_vertices > extension.DIRECT_SOLVE_LIMIT
     f = alternating_boundary_data(mesh).values
-    monkeypatch.setattr(extension, "cg", counted_cg)
+    iterations = _count_cg_iterations(monkeypatch)
     u = harmonic_extend(mesh, f)
     assert len(iterations) == 1 and iterations[0] <= 40
     _check_harmonic(mesh, f, u)

@@ -87,6 +87,41 @@ def test_mesh_reader_rejects_wrong_keys(tmp_path):
         fileio.read_mesh_json(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"level": 0,', "invalid JSON"),
+    ("", "invalid JSON"),
+    ("[1, 2]", "JSON list, want an object"),
+    ('"mesh"', "JSON str, want an object"),
+])
+def test_mesh_reader_rejects_malformed_json(tmp_path, text, message):
+    path = tmp_path / "mesh.json"
+    path.write_text(text)
+    with pytest.raises(fileio.FormatError, match=message):
+        fileio.read_mesh_json(path)
+
+
+NOT_UTF8 = {
+    "boundary": (fileio.read_boundary_csv, b"boundary_index,value\n1,\xff\n"),
+    "mass": (fileio.read_mass_csv, b"index,mass\n1,0.5\n2,\xff\n"),
+    "eigenvalues": (fileio.read_eigenvalues_csv,
+                    b"index,eigenvalue,residual\n1,\xff,0.0\n"),
+    "header": (fileio.read_boundary_csv, b"\xffboundary_index,value\n"),
+    "matrix market": (fileio.read_matrix_market,
+                      b"%%MatrixMarket matrix coordinate real symmetric\n"
+                      b"1 1 1\n1 1 \xff\n"),
+    "mesh": (fileio.read_mesh_json, b'{"level": \xff}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8))
+def test_text_readers_reject_bytes_not_utf8(tmp_path, case):
+    read, raw = NOT_UTF8[case]
+    path = tmp_path / "file"
+    path.write_bytes(raw)
+    with pytest.raises(fileio.FormatError, match="not UTF-8 text: byte 0xff"):
+        read(path)
+
+
 def test_matrix_market_against_scipy(op2_full, tmp_path):
     # dual route: our writer must parse identically under scipy's reader
     path = tmp_path / "S.mtx"
@@ -271,6 +306,37 @@ def test_vectors_truncated(tmp_path):
     fileio.write_vectors(values, meta, path)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(fileio.FormatError):
+        fileio.read_vectors(path)
+
+
+def _vector_file(path, d, k, payload):
+    path.write_bytes(b"SNWV" + (1).to_bytes(4, "little")
+                     + d.to_bytes(8, "little") + k.to_bytes(8, "little")
+                     + payload)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("short header", "14 bytes, shorter than the 24-byte header"),
+    ("huge header", "truncated vector payload"),
+    ("trailing bytes", "8 bytes after the 1 x 1 vector payload"),
+])
+def test_vectors_reader_checks_size(tmp_path, case, message):
+    path = tmp_path / "v.snwv"
+    if case == "short header":
+        path.write_bytes(b"SNWV" + bytes(10))
+    elif case == "huge header":
+        _vector_file(path, 2 ** 40, 2 ** 20, bytes(8))
+    else:
+        _vector_file(path, 1, 1, bytes(16))
+    with pytest.raises(fileio.FormatError, match=message):
+        fileio.read_vectors(path)
+
+
+def test_vectors_reader_rejects_malformed_sidecar(tmp_path):
+    path = tmp_path / "v.snwv"
+    _vector_file(path, 1, 1, bytes(8))
+    (tmp_path / "v.snwv.json").write_text('{"kind": ')
+    with pytest.raises(fileio.FormatError, match="invalid JSON"):
         fileio.read_vectors(path)
 
 
