@@ -125,12 +125,17 @@ def _two_segment_kink(w: np.ndarray) -> tuple[float, int, float, float]:
     sx, sy = prefix(x), prefix(y)
     sxx, sxy, syy = prefix(x * x), prefix(x * y), prefix(y * y)
 
-    def sse(i, j):
-        # least-squares residual of points i..j-1 (vectorized over arrays)
+    def centred(i, j):
+        # centred xx and xy sums of points i..j-1 (vectorized over arrays)
         k = j - i
         vx = (sxx[j] - sxx[i]) - (sx[j] - sx[i]) ** 2 / k
-        vy = (syy[j] - syy[i]) - (sy[j] - sy[i]) ** 2 / k
         cxy = (sxy[j] - sxy[i]) - (sx[j] - sx[i]) * (sy[j] - sy[i]) / k
+        return vx, cxy
+
+    def sse(i, j):
+        # least-squares residual of points i..j-1
+        vx, cxy = centred(i, j)
+        vy = (syy[j] - syy[i]) - (sy[j] - sy[i]) ** 2 / (j - i)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = vy - np.where(vx > 0, cxy * cxy / np.where(vx > 0, vx, 1.0),
                                 0.0)
@@ -142,9 +147,7 @@ def _two_segment_kink(w: np.ndarray) -> tuple[float, int, float, float]:
     s = int(splits[np.argmin(total)])
 
     def slope(i, j):
-        k = j - i
-        vx = (sxx[j] - sxx[i]) - (sx[j] - sx[i]) ** 2 / k
-        cxy = (sxy[j] - sxy[i]) - (sx[j] - sx[i]) * (sy[j] - sy[i]) / k
+        vx, cxy = centred(i, j)
         return float(cxy / vx) if vx > 0 else float("nan")
 
     pos_idx = np.flatnonzero(pos)

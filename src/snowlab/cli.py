@@ -1,8 +1,10 @@
 """Command-line driver.
 
 Each subcommand runs one pipeline stage and writes its outputs plus a
-metadata.json (tool version, config hash) into --out.  Outputs are
-deterministic: identical config, identical bytes.
+metadata.json (tool version, config hash) into --out.  A stage reads the
+mesh, operators and dense spectra from a `Pipeline`, which builds each of
+them at most once per invocation; `run` executes several stages on one
+pipeline.  Outputs are deterministic: identical config, identical bytes.
 
 Exit codes: 0 success, 2 invalid arguments, 3 resource guard tripped,
 4 numerical failure.  Failures print exactly one line to stderr of the
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +30,9 @@ from .analysis import (
     landscape_bound_check,
     landscape_closed_forms,
     localization_report,
+    loglog_slopes,
+    multiplicity_groups,
+    pair_eigenvectors,
     regime_threshold,
 )
 from .extension import (
@@ -41,7 +47,9 @@ from .operators import KINDS, assemble, energy_sequence
 from .solver import DenseGuardError, NumericalError, eig_full, eig_partial
 
 COMMANDS = ("mesh", "assemble", "eig", "count", "landscape", "localize",
-            "extend", "energy-seq")
+            "extend", "energy-seq", "run")
+# the stages `run` executes, each with its default options, into --out/<stage>
+RUN_STAGES = ("mesh", "count", "landscape", "localize", "extend")
 PATTERNS = ("alternating", "random")
 FUNCTIONS = {
     "one": lambda x, y: 1.0,
@@ -179,6 +187,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n-max", dest="n_max", type=int, default=None)
     sp.add_argument("--part", choices=("total", "interior", "boundary"),
                     default="total")
+
+    sp = sub.add_parser("run", help="mesh, count, landscape, localize and "
+                                    "extend on one pipeline, plus a summary")
+    common(sp, kind=False)
     return p
 
 
@@ -196,15 +208,33 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _spectrum(cfg: RunConfig, op):
-    if cfg.solver == "iterative":
-        k = cfg.k if cfg.k is not None else 6
-        return eig_partial(op, k, which=cfg.which, seed=cfg.seed)
-    return eig_full(op)
+class Pipeline:
+    """The mesh, the operator of each kind and the dense spectrum of each
+    kind for one level and c0, each built on first use and at most once."""
+
+    def __init__(self, level: int, c0: float):
+        self.level = level
+        self.c0 = c0
+        self._operators: dict = {}
+        self._spectra: dict = {}
+
+    @functools.cached_property
+    def mesh(self):
+        return build_mesh(self.level)
+
+    def operator(self, kind: str):
+        if kind not in self._operators:
+            self._operators[kind] = assemble(self.mesh, kind, self.c0)
+        return self._operators[kind]
+
+    def spectrum(self, kind: str):
+        if kind not in self._spectra:
+            self._spectra[kind] = eig_full(self.operator(kind))
+        return self._spectra[kind]
 
 
-def _cmd_mesh(cfg: RunConfig) -> None:
-    mesh = build_mesh(cfg.level)
+def _cmd_mesh(cfg: RunConfig, p: Pipeline) -> None:
+    mesh = p.mesh
     report = validate(mesh)
     if not report.ok:
         failed = [c.name for c in report.failures()]
@@ -217,9 +247,8 @@ def _cmd_mesh(cfg: RunConfig) -> None:
           f"triangles={len(mesh.triangles)} edges={len(mesh.edges)}")
 
 
-def _cmd_assemble(cfg: RunConfig) -> None:
-    mesh = build_mesh(cfg.level)
-    op = assemble(mesh, cfg.kind, cfg.c0)
+def _cmd_assemble(cfg: RunConfig, p: Pipeline) -> None:
+    op = p.operator(cfg.kind)
     out = _outdir(cfg)
     fileio.write_matrix_market(op.S, out / "stiffness.mtx")
     fileio.write_mass_csv(op.m, out / "mass.csv")
@@ -227,10 +256,13 @@ def _cmd_assemble(cfg: RunConfig) -> None:
           f"nnz={op.S.nnz}")
 
 
-def _cmd_eig(cfg: RunConfig) -> None:
-    mesh = build_mesh(cfg.level)
-    op = assemble(mesh, cfg.kind, cfg.c0)
-    spec = _spectrum(cfg, op)
+def _cmd_eig(cfg: RunConfig, p: Pipeline) -> None:
+    if cfg.solver == "iterative":
+        k = cfg.k if cfg.k is not None else 6
+        spec = eig_partial(p.operator(cfg.kind), k, which=cfg.which,
+                           seed=cfg.seed)
+    else:
+        spec = p.spectrum(cfg.kind)
     out = _outdir(cfg)
     fileio.write_eigenvalues_csv(spec, out / "eigenvalues.csv")
     fileio.write_eigenvectors(spec, out / "eigenvectors.snwv")
@@ -239,10 +271,8 @@ def _cmd_eig(cfg: RunConfig) -> None:
           f"min={float(w[0])!r} max={float(w[-1])!r} solver={spec.solver}")
 
 
-def _cmd_count(cfg: RunConfig) -> None:
-    mesh = build_mesh(cfg.level)
-    spec_full = eig_full(assemble(mesh, "full", cfg.c0))
-    spec_dir = eig_full(assemble(mesh, "dirichlet", cfg.c0))
+def _cmd_count(cfg: RunConfig, p: Pipeline) -> None:
+    spec_full, spec_dir = p.spectrum("full"), p.spectrum("dirichlet")
     report = regime_threshold(spec_full, spec_dir)
     out = _outdir(cfg)
     fileio.write_counting_csv(spec_full, out / "counting_full.csv")
@@ -253,12 +283,10 @@ def _cmd_count(cfg: RunConfig) -> None:
           f"nearest={report.nearest_eigenvalue!r}")
 
 
-def _cmd_landscape(cfg: RunConfig) -> None:
-    mesh = build_mesh(cfg.level)
-    op = assemble(mesh, cfg.kind, cfg.c0)
-    vec = landscape(op)
-    spec = eig_full(op)
-    check = landscape_bound_check(spec, vec)
+def _cmd_landscape(cfg: RunConfig, p: Pipeline) -> None:
+    mesh = p.mesh
+    vec = landscape(p.operator(cfg.kind))
+    check = landscape_bound_check(p.spectrum(cfg.kind), vec)
     report: dict = {"kind": cfg.kind, "level": cfg.level, "c0": cfg.c0}
     if cfg.kind == "full":
         forms = landscape_closed_forms(cfg.level, cfg.c0)
@@ -284,15 +312,14 @@ def _cmd_landscape(cfg: RunConfig) -> None:
           f"bound_ok={check.ok} violations={len(check.violations)}")
 
 
-def _cmd_localize(cfg: RunConfig) -> None:
-    mesh = build_mesh(cfg.level)
+def _cmd_localize(cfg: RunConfig, p: Pipeline) -> None:
+    mesh = p.mesh
     # the full spectrum has one pair per vertex: check before solving
     index = cfg.index if cfg.index is not None else mesh.num_vertices
     if index > mesh.num_vertices:
         raise CLIUsageError(
             f"index {index} exceeds spectrum size {mesh.num_vertices}")
-    op = assemble(mesh, "full", cfg.c0)
-    spec = eig_full(op)
+    spec = p.spectrum("full")
     report = localization_report(spec, mesh, eps=cfg.eps)
     out = _outdir(cfg)
     fileio.write_localization_csv(report, out / "localization.csv")
@@ -303,8 +330,8 @@ def _cmd_localize(cfg: RunConfig) -> None:
           f"contour_index={index} bmf_last={float(bmf[-1])!r}")
 
 
-def _cmd_extend(cfg: RunConfig) -> None:
-    mesh = build_mesh(cfg.level)
+def _cmd_extend(cfg: RunConfig, p: Pipeline) -> None:
+    mesh = p.mesh
     if cfg.data is not None:
         path = Path(cfg.data)
         if not path.exists():
@@ -335,7 +362,7 @@ def _cmd_extend(cfg: RunConfig) -> None:
           f"range=[{float(u.min())!r}, {float(u.max())!r}]")
 
 
-def _cmd_energy_seq(cfg: RunConfig) -> None:
+def _cmd_energy_seq(cfg: RunConfig, p: Pipeline) -> None:
     n_max = cfg.n_max if cfg.n_max is not None else cfg.level
     values = energy_sequence(FUNCTIONS[cfg.function], n_max, c0=cfg.c0,
                              part=cfg.part)
@@ -344,6 +371,33 @@ def _cmd_energy_seq(cfg: RunConfig) -> None:
     tail = ", ".join(repr(v) for v in values[-3:])
     print(f"energy-seq function={cfg.function} part={cfg.part} "
           f"n_max={n_max} tail=[{tail}]")
+
+
+def _cmd_run(cfg: RunConfig, p: Pipeline) -> None:
+    for stage in RUN_STAGES:
+        _execute(RunConfig(command=stage, level=cfg.level, c0=cfg.c0,
+                           out=os.path.join(cfg.out, stage)), p)
+    full, dirichlet = p.spectrum("full"), p.spectrum("dirichlet")
+    out = _outdir(cfg)
+    fileio.write_eigenvalues_csv(full, out / "eigenvalues_full.csv")
+    fileio.write_eigenvalues_csv(dirichlet, out / "eigenvalues_dirichlet.csv")
+    pairs = pair_eigenvectors(full.truncated(min(40, full.count)),
+                              dirichlet.truncated(min(20, dirichlet.count)),
+                              p.mesh, top_k=10)
+    fileio.write_pairing_json(pairs, out / "pairing.json")
+    lambda_star = regime_threshold(full, dirichlet).lambda_star
+    try:
+        slopes = loglog_slopes(full, lambda_star)
+    except AnalysisError:  # too few eigenvalues on one side of lambda_star
+        slopes = None
+    clusters = {kind: [dataclasses.asdict(g) for g in
+                       multiplicity_groups(p.spectrum(kind)) if g.size > 2]
+                for kind in ("full", "dirichlet")}
+    fileio.write_json({"loglog_slopes": slopes,
+                       "multiplicity_clusters": clusters},
+                      out / "summary.json")
+    print(f"run level={cfg.level} stages={','.join(RUN_STAGES)} "
+          f"pairs={len(pairs)} loglog_slopes={slopes!r}")
 
 
 _DISPATCH = {
@@ -355,7 +409,13 @@ _DISPATCH = {
     "localize": _cmd_localize,
     "extend": _cmd_extend,
     "energy-seq": _cmd_energy_seq,
+    "run": _cmd_run,
 }
+
+
+def _execute(cfg: RunConfig, p: Pipeline) -> None:
+    _DISPATCH[cfg.command](cfg, p)
+    fileio.write_metadata(cfg.to_json(), _outdir(cfg) / "metadata.json")
 
 
 def _fail(slug: str, exc: BaseException, code: int) -> int:
@@ -372,8 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     except CLIUsageError as exc:
         return _fail("usage", exc, 2)
     try:
-        _DISPATCH[cfg.command](cfg)
-        fileio.write_metadata(cfg.to_json(), _outdir(cfg) / "metadata.json")
+        _execute(cfg, Pipeline(cfg.level, cfg.c0))
     except CLIUsageError as exc:
         return _fail("usage", exc, 2)
     except (ValueError, OSError, fileio.FormatError) as exc:

@@ -199,7 +199,7 @@ def _refine_grids(tri: np.ndarray, origin: np.ndarray):
     return new[:, a[0]:a[1], b[0]:b[1]], 3 * origin - 1 + (a[0], b[0])
 
 
-def build_mesh(level: int, guard: int | None = None) -> Mesh:
+def build_mesh(level: int) -> Mesh:
     """Build the level-n snowflake triangulation.
 
     Starts from one unit equilateral triangle and applies the inductive
@@ -207,12 +207,12 @@ def build_mesh(level: int, guard: int | None = None) -> Mesh:
     so rebuilding yields bit-identical data.
 
     Raises LevelGuardError when level exceeds the guard (default 6,
-    overridable via the SNOWLAB_GUARD_LEVEL environment variable or the
-    `guard` argument); vertex counts grow like 9**level.
+    overridable via the SNOWLAB_GUARD_LEVEL environment variable); vertex
+    counts grow like 9**level.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    limit = guard_level() if guard is None else guard
+    limit = guard_level()
     if level > limit:
         raise LevelGuardError(
             f"level {level} exceeds guard {limit}; "

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,10 @@ import pytest
 
 import snowlab
 from snowlab import cli, fileio
+from snowlab.analysis import loglog_slopes, multiplicity_groups
 from snowlab.cli import CLIUsageError, RunConfig, _build_parser, main
 from snowlab.lattice import build_mesh
+from snowlab.operators import assemble
 from snowlab.solver import eig_full
 
 
@@ -386,3 +389,88 @@ def test_cli_artifacts_pinned(level, capsys, tmp_path, monkeypatch):
            hashlib.sha256(p.read_bytes()).hexdigest()
            for p in Path("out").glob("*/*")}
     assert got == want
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def test_run_matches_stages_alone(capsys, tmp_path, monkeypatch):
+    # each stage alone writes into out/<stage>, the directory `run --out
+    # out` gives it, so metadata.json compares too
+    monkeypatch.chdir(tmp_path)
+    alone, lines = {}, []
+    for stage in cli.RUN_STAGES:
+        code, stdout, err = run(capsys, stage, "--level", "3",
+                                "--out", f"out/{stage}")
+        assert code == 0, err
+        alone[stage] = _tree(f"out/{stage}")
+        lines.append(stdout)
+    shutil.rmtree("out")
+
+    meshes, solves = [], []
+
+    def mesh_spy(level):
+        meshes.append(level)
+        return build_mesh(level)
+
+    def eig_spy(op, *args, **kwargs):
+        solves.append(op.kind)
+        return eig_full(op, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_mesh", mesh_spy)
+    monkeypatch.setattr(cli, "eig_full", eig_spy)
+    code, stdout, err = run(capsys, "run", "--level", "3", "--out", "out")
+    assert code == 0, err
+    assert (meshes, solves) == ([3], ["full", "dirichlet"])
+    for stage in cli.RUN_STAGES:
+        assert _tree(f"out/{stage}") == alone[stage], stage
+    assert stdout.startswith("".join(lines))
+    assert sorted(p.name for p in Path("out").iterdir()) == sorted(
+        [*cli.RUN_STAGES, "metadata.json", "eigenvalues_full.csv",
+         "eigenvalues_dirichlet.csv", "pairing.json", "summary.json"])
+    meta = json.loads(Path("out/metadata.json").read_text())
+    assert meta["config"] == RunConfig(command="run", level=3,
+                                       out="out").to_json()
+
+
+def test_run_level1_truncated_windows(capsys, tmp_path):
+    out = tmp_path / "r"
+    code, _, err = run(capsys, "run", "--level", "1", "--out", str(out))
+    assert code == 0, err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["loglog_slopes"] is None
+    # 13 full pairs and 1 Dirichlet pair at level 1
+    pairs = json.loads((out / "pairing.json").read_text())["pairs"]
+    assert len(pairs) == 10
+    assert all(1 <= p["j"] <= 13 and p["j_tilde"] == 1 for p in pairs)
+    w, _ = fileio.read_eigenvalues_csv(out / "eigenvalues_dirichlet.csv")
+    assert len(w) == 1
+
+
+def test_run_level0_fails_as_count(capsys, tmp_path):
+    code, _, count_err = run(capsys, "count", "--level", "0",
+                             "--out", str(tmp_path / "c"))
+    assert code == 2 and count_err.startswith("error:invalid-input:")
+    code, _, err = run(capsys, "run", "--level", "0",
+                       "--out", str(tmp_path / "r"))
+    assert (code, err) == (2, count_err)
+
+
+def test_run_summary_level3(capsys, tmp_path):
+    out = tmp_path / "r"
+    assert run(capsys, "run", "--level", "3", "--out", str(out))[0] == 0
+    mesh = build_mesh(3)
+    spectra = {kind: eig_full(assemble(mesh, kind))
+               for kind in ("full", "dirichlet")}
+    lambda_star = float(spectra["dirichlet"].eigenvalues[-1])
+    want = {
+        "loglog_slopes": list(loglog_slopes(spectra["full"], lambda_star)),
+        "multiplicity_clusters": {
+            kind: [{"start": g.start, "size": g.size, "value": g.value}
+                   for g in multiplicity_groups(spec) if g.size > 2]
+            for kind, spec in spectra.items()},
+    }
+    assert json.loads((out / "summary.json").read_text()) == want
+    assert want["multiplicity_clusters"]["dirichlet"]

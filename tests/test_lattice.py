@@ -242,12 +242,13 @@ def test_hop_distance(mesh3):
         assert np.array_equal(dist, _bfs_hops(mesh))
 
 
-def test_level_guard():
+def test_level_guard(monkeypatch):
     with pytest.raises(LevelGuardError):
         build_mesh(DEFAULT_GUARD_LEVEL + 1)
-    build_mesh(2, guard=2)
+    monkeypatch.setenv(GUARD_ENV_VAR, "2")
+    build_mesh(2)
     with pytest.raises(LevelGuardError):
-        build_mesh(3, guard=2)
+        build_mesh(3)
 
 
 def test_level_guard_env(monkeypatch):
