@@ -1,11 +1,13 @@
 """Discretely harmonic extension of boundary data and its diagnostics.
 
 The extension of f solves the interior block of the stiffness system,
-S_II u_I = -S_IB f, so (L u)(p) = 0 at every interior vertex p.  Edges
-incident to an interior vertex are always interior edges (boundary edges
-join two boundary vertices), so the extension does not depend on the
-boundary coupling c0; c0 is accepted anyway because the energy bookkeeping
-around the extension does depend on it.
+S_II u_I = -S_IB f, so (L u)(p) = 0 at every interior vertex p; both
+blocks are built from the edges at interior vertices alone
+(operators.interior_blocks).  Edges incident to an interior vertex are
+always interior edges (boundary edges join two boundary vertices), so the
+extension does not depend on the boundary coupling c0; c0 is accepted
+anyway because the energy bookkeeping around the extension does depend on
+it.
 
 The interior block is positive definite, so the extension exists and is
 unique, is linear in f, satisfies the discrete maximum principle (each
@@ -16,12 +18,16 @@ Up to DIRECT_SOLVE_LIMIT interior vertices (levels 0-4) the interior system
 is factorized by splu; beyond it (levels 5 and 6) it is solved by
 multigrid-preconditioned CG under the same residual check: the
 preconditioner is one smoothed-aggregation V-cycle whose aggregates are 3x3
-blocks of lattice coordinates.  At level 5 CG converges in 22 iterations,
-in about a quarter of the time splu takes, as the fill of the
+blocks of lattice coordinates, with two damped-Jacobi sweeps on each side
+of the coarse correction.  CG converges in 11-12 iterations at levels 5 and
+6, at level 5 in a fraction of the time splu takes, as the fill of the
 factorization grows faster than the system.  A CG result differs from the
 splu result by roundoff and, through the BLAS reductions inside CG, is
 byte-identical for a fixed BLAS thread count only; levels 0-4 keep the
 splu bytes.
+
+Boundary data must be finite: a NaN or infinite value is rejected with
+ValueError before any solve.
 """
 
 from __future__ import annotations
@@ -34,12 +40,19 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .lattice import Mesh, _lex_keys, boundary_cycle, boundary_hop_distance
-from .operators import _edge_energies, assemble
+from .operators import _edge_energies, interior_blocks
 from .solver import NumericalError
 
 # between the level-4 (4,789) and level-5 (45,397) interior counts
 DIRECT_SOLVE_LIMIT = 10000
 COARSE_SOLVE_LIMIT = 3000
+# the smoothed-aggregation weight 4 / (3 rho) for rho(D^-1 A) = 1.5, its
+# value on the finest level of the snowflake hierarchy (1.57 at most on the
+# coarser ones; the tests check w rho < 2)
+JACOBI_WEIGHT = 8.0 / 9.0
+# a few times the 11-12 iterations CG takes at levels 5 and 6, so a failing
+# preconditioner raises within seconds
+CG_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -56,6 +69,7 @@ class BoundaryData:
             raise ValueError(
                 f"level {self.level} boundary data needs {expect} values, "
                 f"got shape {self.values.shape}")
+        _require_finite(self.values)
         self.values.setflags(write=False)
 
 
@@ -75,6 +89,14 @@ def random_boundary_data(mesh: Mesh, seed: int = 0) -> BoundaryData:
                         values=rng.standard_normal(mesh.num_boundary_vertices))
 
 
+def _require_finite(values: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise ValueError(
+            f"boundary data has {len(bad)} non-finite values, the first "
+            f"{values[bad[0]]} at index {bad[0]}")
+
+
 def _as_values(mesh: Mesh, f) -> np.ndarray:
     if isinstance(f, BoundaryData):
         if f.level != mesh.level:
@@ -86,6 +108,7 @@ def _as_values(mesh: Mesh, f) -> np.ndarray:
         raise ValueError(
             f"expected {mesh.num_boundary_vertices} boundary values, "
             f"got shape {vals.shape}")
+    _require_finite(vals)
     return vals
 
 
@@ -95,15 +118,29 @@ def _multigrid(A: sparse.csr_matrix, points: np.ndarray) -> LinearOperator:
 
     Each level refines every triangle 3x3, so the aggregates are the 3x3
     blocks of lattice coordinates, on the fine points and again on the
-    coarse ones.  The prolongator is P = (I - 2/3 D^-1 A) P_tent, the coarse
-    operator the Galerkin product P^T A P, and the hierarchy ends in one
-    splu at COARSE_SOLVE_LIMIT unknowns.  Damped Jacobi before and after the
-    coarse correction keeps the cycle symmetric, which CG needs; the same
-    weight 2/3 serves, as rho(D^-1 A) is about 1.5 on every level of the
-    snowflake hierarchy, so each sweep converges and the cycle is positive
-    definite.
+    coarse ones.  With w = JACOBI_WEIGHT = 8/9, the prolongator is
+    P = (I - w D^-1 A) P_tent, the coarse operator the Galerkin product
+    P^T A P, and the hierarchy ends in one splu at COARSE_SOLVE_LIMIT
+    unknowns.  Two damped-Jacobi sweeps with the same weight run before the
+    coarse correction and two after it, which keeps the cycle symmetric, as
+    CG needs.  The weight is the smoothed-aggregation choice 4 / (3 rho) for
+    rho(D^-1 A) = 1.5: on the level-5 and level-6 hierarchies rho is 1.50
+    on the finest level and at most 1.57 on the coarser ones, so w rho is at
+    most 1.40 < 2, each sweep converges and the cycle is positive definite.
+    CG then takes 11-12 iterations at levels 5 and 6, against 22-25 with one
+    sweep each side and the weight 2/3.
     """
     n = A.shape[0]
+    levels, coarsest = _hierarchy(A, points)
+    return LinearOperator((n, n), matvec=partial(_vcycle, levels,
+                                                 splu(coarsest.tocsc())),
+                          dtype=float)
+
+
+def _hierarchy(A: sparse.csr_matrix, points: np.ndarray
+               ) -> tuple[list, sparse.csr_matrix]:
+    """The levels (matrix, Jacobi weights, prolongator; finest first) of
+    _multigrid's V-cycle for A at `points`, and the coarsest matrix."""
     levels = []
     while A.shape[0] > COARSE_SOLVE_LIMIT:
         blocks = points // 3
@@ -113,15 +150,13 @@ def _multigrid(A: sparse.csr_matrix, points: np.ndarray) -> LinearOperator:
         rows = A.shape[0]
         tent = sparse.csr_matrix((np.ones(rows), agg, np.arange(rows + 1)),
                                  shape=(rows, len(points)))
-        w = 2.0 / 3.0 / A.diagonal()
+        w = JACOBI_WEIGHT / A.diagonal()
         P = tent - sparse.diags(w) @ (A @ tent)
         levels.append((A, w, P))
         # (AP)^T P = P^T A P, as A is symmetric; this order converts P, not
         # the larger AP, to CSC
         A = ((A @ P).T @ P).tocsr()
-    coarse = splu(A.tocsc())
-    return LinearOperator((n, n), matvec=partial(_vcycle, levels, coarse),
-                          dtype=float)
+    return levels, A
 
 
 def _vcycle(levels, coarse, r):
@@ -135,8 +170,11 @@ def _vcycle(levels, coarse, r):
     if not levels:
         return coarse.solve(r)
     (A, w, P), rest = levels[0], levels[1:]
+    # two Jacobi sweeps from x = 0, the coarse correction, two more sweeps
     x = w * r
+    x += w * (r - A @ x)
     x += P @ _vcycle(rest, coarse, P.T @ (r - A @ x))
+    x += w * (r - A @ x)
     x += w * (r - A @ x)
     return x
 
@@ -147,28 +185,28 @@ def harmonic_extend(mesh: Mesh, f, c0: float = 1.0) -> np.ndarray:
     Returns a vector on all mesh vertices equal to f on the boundary.
     Direct sparse factorization up to DIRECT_SOLVE_LIMIT interior vertices,
     multigrid-preconditioned conjugate gradients beyond (relative tolerance
-    1e-13); either way the interior residual is checked.
+    1e-13, at most CG_MAXITER iterations); either way the interior residual
+    is checked.  Non-finite values in f raise ValueError, a solve that does
+    not converge or fails the residual check NumericalError.
     """
+    if not c0 > 0:
+        raise ValueError(f"c0 must be positive, got {c0}")
     vals = _as_values(mesh, f)
     u = np.zeros(mesh.num_vertices)
-    bidx = mesh.boundary_vertices
-    u[bidx] = vals
+    u[mesh.boundary_vertices] = vals
     iidx = mesh.interior_vertices
     if len(iidx) == 0:
         return u
 
-    # u is zero inside, so S_I u is the boundary coupling S_IB f alone
-    S_I = assemble(mesh, "full", c0).S[iidx]
-    rhs = -(S_I @ u)
-    S_II = S_I[:, iidx]
-    del S_I
+    S_II, S_IB = interior_blocks(mesh)
+    rhs = -(S_IB @ vals)
 
     if len(iidx) <= DIRECT_SOLVE_LIMIT:
         # S_II is symmetric, so its transpose is a CSC view of S_II itself
         u_int = splu(S_II.T).solve(rhs)
     else:
         u_int, info = cg(S_II, rhs, rtol=1e-13, atol=0.0,
-                         maxiter=20 * len(iidx),
+                         maxiter=CG_MAXITER,
                          M=_multigrid(S_II, mesh.vertices[iidx]))
         if info != 0:
             raise NumericalError(
@@ -176,7 +214,7 @@ def harmonic_extend(mesh: Mesh, f, c0: float = 1.0) -> np.ndarray:
 
     scale = max(1.0, float(np.max(np.abs(rhs))) if len(rhs) else 1.0)
     resid = float(np.max(np.abs(S_II @ u_int - rhs)))
-    if resid > 1e-9 * scale:
+    if not resid <= 1e-9 * scale:
         raise NumericalError(
             f"interior solve residual {resid:.3e} above tolerance")
 

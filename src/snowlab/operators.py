@@ -91,22 +91,66 @@ def _stiffness(num_vertices: int, edges: np.ndarray,
     diag = np.zeros(num_vertices)
     np.add.at(diag, i, 2.0 * c)
     np.add.at(diag, j, 2.0 * c)
+    return _symmetric_csr(num_vertices, i, j, -2.0 * c, diag)
+
+
+def _symmetric_csr(n: int, i: np.ndarray, j: np.ndarray, off: np.ndarray,
+                   diag: np.ndarray) -> sparse.csr_matrix:
+    """The symmetric n x n CSR matrix with off[k] at (i[k], j[k]) and
+    (j[k], i[k]) and diag on the diagonal.
+
+    For lex-sorted pairs with i < j (mesh edges, and any monotone
+    renumbering of them) the entries are listed below the diagonal, on it,
+    then above it, so every row comes out of the stable conversion to CSR
+    already sorted and the conversion skips its sort.
+    """
     # The (row, col) arrays set the memory peak of assembly, so they take
     # the int32 index type of the CSR result whenever it fits.
-    itype = np.int32 if num_vertices < 2**31 else np.int64
-    ids = np.arange(num_vertices, dtype=itype)
-    rows = np.concatenate([i, j, ids], dtype=itype)
-    cols = np.concatenate([j, i, ids], dtype=itype)
-    vals = np.concatenate([-2.0 * c, -2.0 * c, diag])
-    return sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(num_vertices, num_vertices)).tocsr()
+    itype = np.int32 if n < 2**31 else np.int64
+    ids = np.arange(n, dtype=itype)
+    rows = np.concatenate([j, ids, i], dtype=itype)
+    cols = np.concatenate([i, ids, j], dtype=itype)
+    vals = np.concatenate([off, diag, off])
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def interior_blocks(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """(S_II, S_IB): the interior rows of the stiffness matrix S, split into
+    the interior columns and the boundary columns (ascending vertex order
+    within each), built from the edges at interior vertices alone.
+
+    Every edge at an interior vertex has conductance 1 (boundary edges join
+    two boundary vertices), so neither block depends on c0, and the entries
+    are the exact integers -2 and 2 * degree.  Both blocks are equal, array
+    for array, to slices of the assembled full S.
+    """
+    flags = mesh.boundary_flags
+    nb = int(np.count_nonzero(flags))
+    n = len(flags) - nb
+    # interior vertex -> its row, boundary vertex -> -1 - its boundary index
+    pos = np.cumsum(~flags) - 1
+    pos[flags] = np.arange(-1, -1 - nb, -1)
+    i, j = pos[mesh.edges[:, 0]], pos[mesh.edges[:, 1]]
+    inner = (i >= 0) & (j >= 0)
+    cross = (i >= 0) != (j >= 0)
+    p = np.maximum(i[cross], j[cross])       # the interior end
+    q = -1 - np.minimum(i[cross], j[cross])  # the boundary end
+    i, j = i[inner], j[inner]
+    diag = 2.0 * (np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+                  + np.bincount(p, minlength=n))
+    S_II = _symmetric_csr(n, i, j, np.full(len(i), -2.0), diag)
+    S_IB = sparse.coo_matrix((np.full(len(p), -2.0), (p, q)),
+                             shape=(n, nb)).tocsr()
+    return S_II, S_IB
 
 
 def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
     """Assemble the stiffness/mass pair for the requested operator kind.
 
     The dirichlet bundle is literally the full bundle with boundary rows and
-    columns deleted, so the two agree entry for entry on the interior block.
+    columns deleted, so the two agree entry for entry on the interior block;
+    it is built from the edges at interior vertices (interior_blocks)
+    without assembling the full matrix.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -127,17 +171,18 @@ def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
                               vertex_map=bidx.copy(),
                               lattice_points=mesh.vertices[bidx])
 
-    c = edge_conductances(mesh, c0)
-    S = _stiffness(mesh.num_vertices, mesh.edges, c)
     if kind == "full":
+        S = _stiffness(mesh.num_vertices, mesh.edges,
+                       edge_conductances(mesh, c0))
         vmap = np.arange(mesh.num_vertices, dtype=np.int64)
         return OperatorBundle(kind=kind, level=mesh.level, c0=c0, S=S,
                               m=m, inv_m=inv_m, vertex_map=vmap,
                               lattice_points=mesh.vertices)
 
+    # the interior block does not depend on c0
     iidx = mesh.interior_vertices
-    S_int = S[iidx][:, iidx].tocsr()
-    return OperatorBundle(kind=kind, level=mesh.level, c0=c0, S=S_int,
+    return OperatorBundle(kind=kind, level=mesh.level, c0=c0,
+                          S=interior_blocks(mesh)[0],
                           m=m[iidx].copy(), inv_m=inv_m[iidx].copy(),
                           vertex_map=iidx.copy(),
                           lattice_points=mesh.vertices[iidx])

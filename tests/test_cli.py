@@ -209,6 +209,20 @@ def test_extend_data_not_utf8(capsys, tmp_path):
     assert err == "error:invalid-input:not UTF-8 text: byte 0xff\n"
 
 
+@pytest.mark.parametrize("cell", ["nan", "-inf"])
+def test_extend_data_not_finite(cell, capsys, tmp_path):
+    data = tmp_path / "bd.csv"
+    rows = [f"{k},{cell if k == 4 else '1.0'}" for k in range(1, 13)]
+    data.write_text("boundary_index,value\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "x"
+    code, _, err = run(capsys, "extend", "--level", "1", "--data", str(data),
+                       "--out", str(out))
+    assert code == 2
+    assert err == ("error:invalid-input:boundary data has 1 non-finite "
+                   f"values, the first {float(cell)} at index 3\n")
+    assert not out.exists()
+
+
 def test_extend_bad_length(capsys, tmp_path):
     data = tmp_path / "bd.csv"
     fileio.write_boundary_csv(np.ones(5), data)

@@ -2,7 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import cg
+from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, cg, eigsh
 
 from snowlab import extension
 from snowlab.extension import (
@@ -15,6 +16,7 @@ from snowlab.extension import (
 )
 from snowlab.lattice import boundary_cycle, build_mesh
 from snowlab.operators import apply, assemble, energy
+from snowlab.solver import NumericalError
 
 
 def test_boundary_data_validation(mesh2):
@@ -24,6 +26,42 @@ def test_boundary_data_validation(mesh2):
     assert data.values.shape == (48,)
     with pytest.raises(ValueError):
         harmonic_extend(mesh2, BoundaryData(level=1, values=np.ones(12)))
+    with pytest.raises(ValueError, match="c0"):
+        harmonic_extend(mesh2, data, c0=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_rejected(bad, mesh2):
+    f = np.ones(mesh2.num_boundary_vertices)
+    f[7] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        BoundaryData(level=2, values=f)
+    # the splu path (level 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        harmonic_extend(mesh2, f)
+
+
+def test_non_finite_data_rejected_before_cg(monkeypatch):
+    mesh = build_mesh(5)
+    f = alternating_boundary_data(mesh).values.copy()
+    f[100] = np.nan
+    iterations = _count_cg_iterations(monkeypatch)
+    with pytest.raises(ValueError, match="non-finite"):
+        harmonic_extend(mesh, f)
+    assert iterations == []
+
+
+def test_residual_check_rejects_nan_solution(mesh2, monkeypatch):
+    class NanLU:
+        def __init__(self, A):
+            self.n = A.shape[0]
+
+        def solve(self, rhs):
+            return np.full(self.n, np.nan)
+
+    monkeypatch.setattr(extension, "splu", NanLU)
+    with pytest.raises(NumericalError, match="residual"):
+        harmonic_extend(mesh2, alternating_boundary_data(mesh2))
 
 
 def test_alternating_data(mesh2):
@@ -216,7 +254,7 @@ def test_level5_multigrid_cg(pattern, monkeypatch):
          else random_boundary_data(mesh, seed=5)).values
     iterations = _count_cg_iterations(monkeypatch)
     u = harmonic_extend(mesh, f)
-    assert len(iterations) == 1 and iterations[0] <= 40
+    assert len(iterations) == 1 and iterations[0] <= 16
     _check_harmonic(mesh, f, u)
     monkeypatch.setattr(extension, "DIRECT_SOLVE_LIMIT",
                         mesh.num_interior_vertices)
@@ -225,12 +263,45 @@ def test_level5_multigrid_cg(pattern, monkeypatch):
     assert np.abs(u - direct).max() <= 1e-10 * np.abs(f).max()
 
 
-def test_level6_multigrid_cg(monkeypatch):
+@pytest.mark.parametrize("pattern", ["alternating", "random"])
+def test_level6_multigrid_cg(pattern, monkeypatch):
     mesh = build_mesh(6)
     assert mesh.num_interior_vertices > extension.DIRECT_SOLVE_LIMIT
-    f = alternating_boundary_data(mesh).values
+    f = (alternating_boundary_data(mesh) if pattern == "alternating"
+         else random_boundary_data(mesh, seed=6)).values
     iterations = _count_cg_iterations(monkeypatch)
     u = harmonic_extend(mesh, f)
-    assert len(iterations) == 1 and iterations[0] <= 40
+    assert len(iterations) == 1 and iterations[0] <= 16
     _check_harmonic(mesh, f, u)
-    assert np.abs(u).max() <= 1.0
+    assert np.abs(u).max() <= np.abs(f).max()
+
+
+def test_cg_iterations_bounded(monkeypatch):
+    # without a working preconditioner CG stops at CG_MAXITER and raises
+    mesh = build_mesh(5)
+    n = mesh.num_interior_vertices
+    monkeypatch.setattr(
+        extension, "_multigrid",
+        lambda A, points: LinearOperator((n, n), matvec=lambda r: r,
+                                         dtype=float))
+    iterations = _count_cg_iterations(monkeypatch)
+    with pytest.raises(NumericalError, match="did not converge"):
+        harmonic_extend(mesh, alternating_boundary_data(mesh))
+    assert iterations == [extension.CG_MAXITER]
+
+
+def test_jacobi_weight_keeps_cycle_definite():
+    # w rho(D^-1 A) < 2 on every level of the level-5 hierarchy, so each
+    # damped-Jacobi sweep converges and the V-cycle is positive definite
+    mesh = build_mesh(5)
+    A = assemble(mesh, "dirichlet").S
+    levels, coarsest = extension._hierarchy(
+        A, mesh.vertices[mesh.interior_vertices])
+    assert len(levels) >= 2
+    for B, w, _ in levels:
+        assert np.allclose(w * B.diagonal(), extension.JACOBI_WEIGHT)
+    for B in [B for B, _, _ in levels] + [coarsest]:
+        d = sparse.diags(1.0 / np.sqrt(B.diagonal()))
+        rho = eigsh(d @ B @ d, k=1, which="LA", tol=1e-3,
+                    return_eigenvectors=False)[0]
+        assert extension.JACOBI_WEIGHT * rho * (1 + 1e-3) < 2.0

@@ -11,6 +11,7 @@ from snowlab.operators import (
     edge_conductances,
     energy,
     energy_sequence,
+    interior_blocks,
 )
 
 
@@ -123,6 +124,22 @@ def test_dirichlet_is_full_restriction(mesh2):
     dirich = assemble(mesh2, "dirichlet").S.toarray()
     keep = mesh2.interior_vertices
     assert np.array_equal(dirich, full[np.ix_(keep, keep)])
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_interior_blocks_are_slices_of_full(level):
+    mesh = build_mesh(level)
+    S = assemble(mesh, "full", c0=2.5).S
+    rows = S[mesh.interior_vertices]
+    S_II, S_IB = interior_blocks(mesh)
+    for got, cols in ((S_II, mesh.interior_vertices),
+                      (S_IB, mesh.boundary_vertices)):
+        want = rows[:, cols]
+        want.sort_indices()
+        assert got.shape == want.shape and got.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_boundary_kind_edges(mesh2):
