@@ -345,7 +345,7 @@ def _cmd_extend(cfg: RunConfig, p: Pipeline) -> None:
         values = alternating_boundary_data(mesh).values
     else:
         values = random_boundary_data(mesh, seed=cfg.seed).values
-    u = harmonic_extend(mesh, values, c0=cfg.c0)
+    u = harmonic_extend(mesh, values)
     e_int, e_bd = energy_split(mesh, u, cfg.c0)
     profile = decay_profile(mesh, u)
     out = _outdir(cfg)

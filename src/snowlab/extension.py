@@ -5,9 +5,8 @@ S_II u_I = -S_IB f, so (L u)(p) = 0 at every interior vertex p; both
 blocks are built from the edges at interior vertices alone
 (operators.interior_blocks).  Edges incident to an interior vertex are
 always interior edges (boundary edges join two boundary vertices), so the
-extension does not depend on the boundary coupling c0; c0 is accepted
-anyway because the energy bookkeeping around the extension does depend on
-it.
+extension does not depend on the boundary coupling c0 and takes none; the
+energy bookkeeping around it (energy_split) does.
 
 The interior block is positive definite, so the extension exists and is
 unique, is linear in f, satisfies the discrete maximum principle (each
@@ -179,7 +178,7 @@ def _vcycle(levels, coarse, r):
     return x
 
 
-def harmonic_extend(mesh: Mesh, f, c0: float = 1.0) -> np.ndarray:
+def harmonic_extend(mesh: Mesh, f) -> np.ndarray:
     """Extend boundary data to all vertices with zero Laplacian inside.
 
     Returns a vector on all mesh vertices equal to f on the boundary.
@@ -189,8 +188,6 @@ def harmonic_extend(mesh: Mesh, f, c0: float = 1.0) -> np.ndarray:
     is checked.  Non-finite values in f raise ValueError, a solve that does
     not converge or fails the residual check NumericalError.
     """
-    if not c0 > 0:
-        raise ValueError(f"c0 must be positive, got {c0}")
     vals = _as_values(mesh, f)
     u = np.zeros(mesh.num_vertices)
     u[mesh.boundary_vertices] = vals

@@ -142,10 +142,7 @@ class Mesh:
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees in the edge graph."""
-        deg = np.zeros(self.num_vertices, dtype=np.int64)
-        np.add.at(deg, self.edges[:, 0], 1)
-        np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.num_vertices)
 
 
 def _lex_keys(points: np.ndarray):
@@ -290,25 +287,18 @@ def boundary_cycle(mesh: Mesh) -> np.ndarray:
     ends = mesh.edges[mesh.edge_is_boundary].ravel()
     if not len(ends):
         raise ValueError("mesh has no boundary edges")
-    verts, first, deg = np.unique(ends, return_index=True, return_counts=True)
+    verts, first, k, deg = np.unique(ends, return_index=True,
+                                     return_inverse=True, return_counts=True)
     bad = np.flatnonzero(deg != 2)
     if bad.size:  # name the bad vertex that appears first in edge order
         v = bad[np.argmin(first[bad])]
         raise MeshInvariantError(
             f"boundary vertex {verts[v]} has {deg[v]} boundary edges")
-    # half-edge 2i + s runs from verts[i] to its s-th neighbour in edge order
-    # and is followed by the half-edge that leaves that neighbour the other way
-    head = ends[np.argsort(ends, kind="stable") ^ 1]
-    w = np.searchsorted(verts, head)
-    nxt = 2 * w + (head[2 * w + 1] != np.repeat(verts, 2))
-    # walk from the smallest vertex towards its first neighbour and back
-    src = np.flatnonzero(nxt)
-    chain = csgraph.depth_first_order(
-        sparse.csr_matrix((np.ones(len(src)), (src, nxt[src])),
-                          shape=(len(nxt),) * 2),
-        0, return_predecessors=False)
-    back = np.flatnonzero(head[chain] == verts[0])[0]
-    cycle = verts[chain[:back + 1] // 2]
+    # every vertex has two neighbours, so a depth-first order walks the cycle
+    cycle = verts[csgraph.depth_first_order(
+        sparse.csr_matrix((np.ones(len(k) // 2), (k[::2], k[1::2])),
+                          shape=(len(verts),) * 2),
+        0, directed=False, return_predecessors=False)]
     if len(cycle) != len(verts):
         raise MeshInvariantError("boundary edges do not form a single cycle")
     # signed area in lattice coordinates (positive = counterclockwise)

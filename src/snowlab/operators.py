@@ -14,11 +14,15 @@ assembled as L = M^-1 S with S_pq = -2 c(p, q), S_pp = 2 sum_q c(p, q).
 With this pairing convention <L u, u>_m = 2 E_n(u).  L is positive
 semidefinite; eigenvalues are reported nonnegative.
 
-Three operator kinds:
+Each operator kind is a principal block: take a vertex set and an edge set,
+build S from those edges, and keep the rows and columns of those vertices
+(a kept vertex's diagonal counts all its edges in the set).  One kernel
+builds all three kinds and the interior blocks S_II, S_IB that the harmonic
+extension solves with:
   full       all vertices, all edges;
-  dirichlet  the full S and m with boundary rows and columns deleted
-             (zero boundary conditions);
-  boundary   boundary vertices and boundary edges only (the weighted cycle
+  dirichlet  interior vertices, all edges: the full S and m with boundary
+             rows and columns deleted (zero boundary conditions);
+  boundary   boundary vertices, boundary edges only (the weighted cycle
              graph carried by the snowflake polygon).
 
 Exactness notes: conductances and masses are dyadic/ternary rationals stored
@@ -84,16 +88,6 @@ def _mass_vectors(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return m, inv_m
 
 
-def _stiffness(num_vertices: int, edges: np.ndarray,
-               c: np.ndarray) -> sparse.csr_matrix:
-    """S_pq = -2c on edges, S_pp = 2 * sum of incident c."""
-    i, j = edges[:, 0], edges[:, 1]
-    diag = np.zeros(num_vertices)
-    np.add.at(diag, i, 2.0 * c)
-    np.add.at(diag, j, 2.0 * c)
-    return _symmetric_csr(num_vertices, i, j, -2.0 * c, diag)
-
-
 def _symmetric_csr(n: int, i: np.ndarray, j: np.ndarray, off: np.ndarray,
                    diag: np.ndarray) -> sparse.csr_matrix:
     """The symmetric n x n CSR matrix with off[k] at (i[k], j[k]) and
@@ -102,90 +96,88 @@ def _symmetric_csr(n: int, i: np.ndarray, j: np.ndarray, off: np.ndarray,
     For lex-sorted pairs with i < j (mesh edges, and any monotone
     renumbering of them) the entries are listed below the diagonal, on it,
     then above it, so every row comes out of the stable conversion to CSR
-    already sorted and the conversion skips its sort.
+    already sorted and the conversion skips its sort.  The (row, col) arrays
+    take the index type of i and j.
     """
-    # The (row, col) arrays set the memory peak of assembly, so they take
-    # the int32 index type of the CSR result whenever it fits.
-    itype = np.int32 if n < 2**31 else np.int64
-    ids = np.arange(n, dtype=itype)
-    rows = np.concatenate([j, ids, i], dtype=itype)
-    cols = np.concatenate([i, ids, j], dtype=itype)
+    ids = np.arange(n, dtype=i.dtype)
+    rows = np.concatenate([j, ids, i])
+    cols = np.concatenate([i, ids, j])
     vals = np.concatenate([off, diag, off])
     return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _principal_block(keep: np.ndarray, edges: np.ndarray, c: np.ndarray
+                     ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """The rows of the stiffness matrix of (edges, c) at the vertices where
+    `keep` is set, split into the kept columns (the principal block) and
+    the dropped columns (the coupling block), ascending vertex order within
+    each.
+
+    Off the diagonal the entries are -2c; on it, 2 * the sum of c over every
+    edge at the kept vertex, edges to dropped vertices included.  The sum
+    runs in edge order, all first ends and then all second ends, which fixes
+    how inexact conductances (c0 not dyadic) round.
+    """
+    total, n = len(keep), int(np.count_nonzero(keep))
+    # kept vertices become 0..n-1 and dropped ones n.., both in vertex order;
+    # the ends of every edge are renumbered once, for both blocks, into the
+    # int32 index type of the CSR results whenever it fits, as the index
+    # arrays set the memory peak of assembly
+    pos = np.empty(total, dtype=np.int32 if total < 2**31 else np.int64)
+    pos[keep] = np.arange(n)
+    pos[~keep] = np.arange(n, total)
+    i, j = pos[edges[:, 0]], pos[edges[:, 1]]
+    diag = np.zeros(total)
+    np.add.at(diag, i, c)
+    np.add.at(diag, j, c)
+    diag, off = 2.0 * diag[:n], -2.0 * c
+    inner = np.maximum(i, j) < n
+    if inner.all():  # no edge leaves the kept vertices: nothing to copy
+        return (_symmetric_csr(n, i, j, off, diag),
+                sparse.csr_matrix((n, total - n)))
+    block = _symmetric_csr(n, i[inner], j[inner], off[inner], diag)
+    out = np.flatnonzero(~inner)
+    i, j, off = i[out], j[out], off[out]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    cross = lo < n
+    return block, sparse.coo_matrix((off[cross], (lo[cross], hi[cross] - n)),
+                                    shape=(n, total - n)).tocsr()
 
 
 def interior_blocks(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     """(S_II, S_IB): the interior rows of the stiffness matrix S, split into
     the interior columns and the boundary columns (ascending vertex order
-    within each), built from the edges at interior vertices alone.
+    within each).
 
     Every edge at an interior vertex has conductance 1 (boundary edges join
     two boundary vertices), so neither block depends on c0, and the entries
-    are the exact integers -2 and 2 * degree.  Both blocks are equal, array
-    for array, to slices of the assembled full S.
+    are the exact integers -2 and 2 * degree.
     """
-    flags = mesh.boundary_flags
-    nb = int(np.count_nonzero(flags))
-    n = len(flags) - nb
-    # interior vertex -> its row, boundary vertex -> -1 - its boundary index
-    pos = np.cumsum(~flags) - 1
-    pos[flags] = np.arange(-1, -1 - nb, -1)
-    i, j = pos[mesh.edges[:, 0]], pos[mesh.edges[:, 1]]
-    inner = (i >= 0) & (j >= 0)
-    cross = (i >= 0) != (j >= 0)
-    p = np.maximum(i[cross], j[cross])       # the interior end
-    q = -1 - np.minimum(i[cross], j[cross])  # the boundary end
-    i, j = i[inner], j[inner]
-    diag = 2.0 * (np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
-                  + np.bincount(p, minlength=n))
-    S_II = _symmetric_csr(n, i, j, np.full(len(i), -2.0), diag)
-    S_IB = sparse.coo_matrix((np.full(len(p), -2.0), (p, q)),
-                             shape=(n, nb)).tocsr()
-    return S_II, S_IB
+    return _principal_block(~mesh.boundary_flags, mesh.edges,
+                            edge_conductances(mesh))
 
 
 def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
-    """Assemble the stiffness/mass pair for the requested operator kind.
-
-    The dirichlet bundle is literally the full bundle with boundary rows and
-    columns deleted, so the two agree entry for entry on the interior block;
-    it is built from the edges at interior vertices (interior_blocks)
-    without assembling the full matrix.
-    """
+    """Assemble the stiffness/mass pair for the requested operator kind:
+    the principal block of S and m on the kind's vertices, built from the
+    kind's edges."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if not c0 > 0:
         raise ValueError(f"c0 must be positive, got {c0}")
 
+    keep, edge_set = {
+        "full": (np.ones(mesh.num_vertices, dtype=bool), slice(None)),
+        "dirichlet": (~mesh.boundary_flags, slice(None)),
+        "boundary": (mesh.boundary_flags, mesh.edge_is_boundary),
+    }[kind]
+    S = _principal_block(keep, mesh.edges[edge_set],
+                         edge_conductances(mesh, c0)[edge_set])[0]
+    vmap = np.flatnonzero(keep)
     m, inv_m = _mass_vectors(mesh)
-
-    if kind == "boundary":
-        bidx = mesh.boundary_vertices
-        pos = np.full(mesh.num_vertices, -1, dtype=np.int64)
-        pos[bidx] = np.arange(len(bidx))
-        bedges = pos[mesh.edges[mesh.edge_is_boundary]]
-        c = np.full(len(bedges), c0 * float(4 ** mesh.level))
-        S = _stiffness(len(bidx), bedges, c)
-        return OperatorBundle(kind=kind, level=mesh.level, c0=c0, S=S,
-                              m=m[bidx].copy(), inv_m=inv_m[bidx].copy(),
-                              vertex_map=bidx.copy(),
-                              lattice_points=mesh.vertices[bidx])
-
-    if kind == "full":
-        S = _stiffness(mesh.num_vertices, mesh.edges,
-                       edge_conductances(mesh, c0))
-        vmap = np.arange(mesh.num_vertices, dtype=np.int64)
-        return OperatorBundle(kind=kind, level=mesh.level, c0=c0, S=S,
-                              m=m, inv_m=inv_m, vertex_map=vmap,
-                              lattice_points=mesh.vertices)
-
-    # the interior block does not depend on c0
-    iidx = mesh.interior_vertices
-    return OperatorBundle(kind=kind, level=mesh.level, c0=c0,
-                          S=interior_blocks(mesh)[0],
-                          m=m[iidx].copy(), inv_m=inv_m[iidx].copy(),
-                          vertex_map=iidx.copy(),
-                          lattice_points=mesh.vertices[iidx])
+    return OperatorBundle(kind=kind, level=mesh.level, c0=c0, S=S,
+                          m=m[vmap], inv_m=inv_m[vmap], vertex_map=vmap,
+                          lattice_points=mesh.vertices[vmap])
 
 
 def apply(op: OperatorBundle, u: np.ndarray) -> np.ndarray:

@@ -26,8 +26,6 @@ def test_boundary_data_validation(mesh2):
     assert data.values.shape == (48,)
     with pytest.raises(ValueError):
         harmonic_extend(mesh2, BoundaryData(level=1, values=np.ones(12)))
-    with pytest.raises(ValueError, match="c0"):
-        harmonic_extend(mesh2, data, c0=0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -110,6 +110,7 @@ def test_euler_characteristic():
 
 def test_degrees(mesh3):
     deg = mesh3.degrees()
+    assert deg.dtype == np.int64 and deg.shape == (mesh3.num_vertices,)
     assert np.all(deg[~mesh3.boundary_flags] == 6)
     assert set(deg[mesh3.boundary_flags]) == {2, 5}
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +8,8 @@ from snowlab.lattice import Mesh, build_mesh
 from snowlab.operators import (
     KINDS,
     OperatorBundle,
+    _mass_vectors,
+    _symmetric_csr,
     apply,
     assemble,
     edge_conductances,
@@ -140,6 +144,94 @@ def test_interior_blocks_are_slices_of_full(level):
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def reference_stiffness(num_vertices: int, edges: np.ndarray,
+                        c: np.ndarray) -> sp.csr_matrix:
+    """S_pq = -2c on edges, S_pp = 2 * sum of incident c, the diagonal
+    summed by np.add.at: the reference for the full and boundary kinds."""
+    i, j = edges[:, 0], edges[:, 1]
+    diag = np.zeros(num_vertices)
+    np.add.at(diag, i, 2.0 * c)
+    np.add.at(diag, j, 2.0 * c)
+    return _symmetric_csr(num_vertices, i, j, -2.0 * c, diag)
+
+
+def reference_interior_blocks(mesh: Mesh) -> tuple[sp.csr_matrix,
+                                                   sp.csr_matrix]:
+    """(S_II, S_IB) from integer degree counts at the interior vertices:
+    the reference for interior_blocks and the dirichlet kind."""
+    flags = mesh.boundary_flags
+    nb = int(np.count_nonzero(flags))
+    n = len(flags) - nb
+    # interior vertex -> its row, boundary vertex -> -1 - its boundary index
+    pos = np.cumsum(~flags) - 1
+    pos[flags] = np.arange(-1, -1 - nb, -1)
+    i, j = pos[mesh.edges[:, 0]], pos[mesh.edges[:, 1]]
+    inner = (i >= 0) & (j >= 0)
+    cross = (i >= 0) != (j >= 0)
+    p = np.maximum(i[cross], j[cross])
+    q = -1 - np.minimum(i[cross], j[cross])
+    i, j = i[inner], j[inner]
+    diag = 2.0 * (np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+                  + np.bincount(p, minlength=n))
+    S_II = _symmetric_csr(n, i, j, np.full(len(i), -2.0), diag)
+    S_IB = sp.coo_matrix((np.full(len(p), -2.0), (p, q)),
+                         shape=(n, nb)).tocsr()
+    return S_II, S_IB
+
+
+def reference_assemble(mesh: Mesh, kind: str, c0: float) -> dict:
+    """The arrays of assemble(mesh, kind, c0), one branch per kind."""
+    m, inv_m = _mass_vectors(mesh)
+    if kind == "boundary":
+        vmap = mesh.boundary_vertices
+        pos = np.full(mesh.num_vertices, -1, dtype=np.int64)
+        pos[vmap] = np.arange(len(vmap))
+        bedges = pos[mesh.edges[mesh.edge_is_boundary]]
+        c = np.full(len(bedges), c0 * float(4 ** mesh.level))
+        S = reference_stiffness(len(vmap), bedges, c)
+    elif kind == "full":
+        S = reference_stiffness(mesh.num_vertices, mesh.edges,
+                                edge_conductances(mesh, c0))
+        vmap = np.arange(mesh.num_vertices, dtype=np.int64)
+    else:
+        vmap = mesh.interior_vertices
+        S = reference_interior_blocks(mesh)[0]
+    return {"S": S, "m": m[vmap], "inv_m": inv_m[vmap], "vertex_map": vmap,
+            "lattice_points": mesh.vertices[vmap]}
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert_same_bytes(getattr(got, name), getattr(want, name))
+
+
+@functools.cache
+def cached_mesh(level: int) -> Mesh:
+    return build_mesh(level)
+
+
+# cli_artifacts.sha256 pins c0 = 1 only, where every diagonal sum is exact;
+# the other values round, so they pin the summation order too
+@pytest.mark.parametrize("c0", (1.0, 0.37, 3.0, 1e-3))
+@pytest.mark.parametrize("level", range(6))
+def test_assembly_matches_reference(level, c0):
+    mesh = cached_mesh(level)
+    for kind in KINDS:
+        op, want = assemble(mesh, kind, c0), reference_assemble(mesh, kind, c0)
+        assert_same_csr(op.S, want.pop("S"))
+        for name, arr in want.items():
+            assert_same_bytes(getattr(op, name), arr)
+    for got, want in zip(interior_blocks(mesh),
+                         reference_interior_blocks(mesh)):
+        assert_same_csr(got, want)
 
 
 def test_boundary_kind_edges(mesh2):
