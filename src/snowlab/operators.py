@@ -130,18 +130,16 @@ def _principal_block(keep: np.ndarray, edges: np.ndarray, c: np.ndarray
     diag = np.zeros(total)
     np.add.at(diag, i, c)
     np.add.at(diag, j, c)
-    diag, off = 2.0 * diag[:n], -2.0 * c
     inner = np.maximum(i, j) < n
-    if inner.all():  # no edge leaves the kept vertices: nothing to copy
-        return (_symmetric_csr(n, i, j, off, diag),
-                sparse.csr_matrix((n, total - n)))
-    block = _symmetric_csr(n, i[inner], j[inner], off[inner], diag)
+    off = c[inner]
+    off *= -2.0
+    block = _symmetric_csr(n, i[inner], j[inner], off, 2.0 * diag[:n])
     out = np.flatnonzero(~inner)
-    i, j, off = i[out], j[out], off[out]
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    lo, hi = np.minimum(i[out], j[out]), np.maximum(i[out], j[out])
     cross = lo < n
-    return block, sparse.coo_matrix((off[cross], (lo[cross], hi[cross] - n)),
-                                    shape=(n, total - n)).tocsr()
+    return block, sparse.coo_matrix(
+        (-2.0 * c[out][cross], (lo[cross], hi[cross] - n)),
+        shape=(n, total - n)).tocsr()
 
 
 def interior_blocks(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:

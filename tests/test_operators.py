@@ -9,7 +9,6 @@ from snowlab.operators import (
     KINDS,
     OperatorBundle,
     _mass_vectors,
-    _symmetric_csr,
     apply,
     assemble,
     edge_conductances,
@@ -146,6 +145,20 @@ def test_interior_blocks_are_slices_of_full(level):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _reference_symmetric_csr(n: int, i: np.ndarray, j: np.ndarray,
+                             off: np.ndarray, diag: np.ndarray
+                             ) -> sp.csr_matrix:
+    """The symmetric n x n CSR matrix with off[k] at (i[k], j[k]) and
+    (j[k], i[k]) and diag on the diagonal, entries listed below, on and
+    above the diagonal, (row, col) cast to int32 whenever it fits."""
+    itype = np.int32 if n < 2**31 else np.int64
+    ids = np.arange(n, dtype=itype)
+    rows = np.concatenate([j, ids, i], dtype=itype)
+    cols = np.concatenate([i, ids, j], dtype=itype)
+    vals = np.concatenate([off, diag, off])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
 def reference_stiffness(num_vertices: int, edges: np.ndarray,
                         c: np.ndarray) -> sp.csr_matrix:
     """S_pq = -2c on edges, S_pp = 2 * sum of incident c, the diagonal
@@ -154,7 +167,7 @@ def reference_stiffness(num_vertices: int, edges: np.ndarray,
     diag = np.zeros(num_vertices)
     np.add.at(diag, i, 2.0 * c)
     np.add.at(diag, j, 2.0 * c)
-    return _symmetric_csr(num_vertices, i, j, -2.0 * c, diag)
+    return _reference_symmetric_csr(num_vertices, i, j, -2.0 * c, diag)
 
 
 def reference_interior_blocks(mesh: Mesh) -> tuple[sp.csr_matrix,
@@ -175,7 +188,7 @@ def reference_interior_blocks(mesh: Mesh) -> tuple[sp.csr_matrix,
     i, j = i[inner], j[inner]
     diag = 2.0 * (np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
                   + np.bincount(p, minlength=n))
-    S_II = _symmetric_csr(n, i, j, np.full(len(i), -2.0), diag)
+    S_II = _reference_symmetric_csr(n, i, j, np.full(len(i), -2.0), diag)
     S_IB = sp.coo_matrix((np.full(len(p), -2.0), (p, q)),
                          shape=(n, nb)).tocsr()
     return S_II, S_IB
