@@ -134,6 +134,14 @@ def write_mesh_json(mesh: Mesh, path: str | Path) -> None:
         f.write("}\n")
 
 
+def _integer_rows(value: Any, name: str, width: int) -> np.ndarray:
+    """A JSON list of integer lists, each `width` long, as an int64 array."""
+    rows = np.asarray(value)
+    if rows.dtype.kind != "i" or rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"{name} must be a list of {width}-integer lists")
+    return rows.astype(np.int64, copy=False)
+
+
 def read_mesh_json(path: str | Path) -> Mesh:
     """Load a mesh file and re-check every mesh invariant."""
     data = _read_json(path)
@@ -143,11 +151,11 @@ def read_mesh_json(path: str | Path) -> Mesh:
     if tuple(data.keys()) != MESH_KEYS:
         raise FormatError(f"mesh file keys {tuple(data.keys())}, want {MESH_KEYS}")
     level = data["level"]
-    if not isinstance(level, int) or level < 0:
+    if type(level) is not int or level < 0:  # a bool is an int too
         raise FormatError(f"bad level {level!r}")
     try:
-        vertices = np.asarray(data["vertices"], dtype=np.int64).reshape(-1, 2)
-        triangles = np.asarray(data["triangles"], dtype=np.int64).reshape(-1, 3)
+        vertices = _integer_rows(data["vertices"], "vertices", 2)
+        triangles = _integer_rows(data["triangles"], "triangles", 3)
         raw_edges = np.array(data["edges"], dtype=object)
         edges = raw_edges[:, :2].astype(np.int64)
         tags = raw_edges[:, 2]
@@ -215,6 +223,10 @@ def read_matrix_market(path: str | Path) -> sp.csr_matrix:
                 vals[k] = float(parts[2])
             except ValueError as exc:
                 raise FormatError(f"bad entry line {k + 1}") from exc
+        extra = f.readline()
+        if extra:
+            raise FormatError(
+                f"line after the {nnz} declared entries: {extra!r}")
     if nnz and (rows < cols).any():
         raise FormatError("entries above the diagonal in a symmetric file")
     if nnz and (cols.min() < 0 or rows.max() >= nrows):

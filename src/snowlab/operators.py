@@ -14,11 +14,11 @@ assembled as L = M^-1 S with S_pq = -2 c(p, q), S_pp = 2 sum_q c(p, q).
 With this pairing convention <L u, u>_m = 2 E_n(u).  L is positive
 semidefinite; eigenvalues are reported nonnegative.
 
-Each operator kind is a principal block: take a vertex set and an edge set,
-build S from those edges, and keep the rows and columns of those vertices
-(a kept vertex's diagonal counts all its edges in the set).  One kernel
-builds all three kinds and the interior blocks S_II, S_IB that the harmonic
-extension solves with:
+Each operator kind is the rows and columns of S at its vertices, with S
+built once from the kind's edges (so a kept vertex's diagonal counts all its
+edges, edges to dropped vertices included).  The interior blocks S_II, S_IB
+that the harmonic extension solves with are the interior rows of the full S,
+split into the interior and the boundary columns.  The kinds:
   full       all vertices, all edges;
   dirichlet  interior vertices, all edges: the full S and m with boundary
              rows and columns deleted (zero boundary conditions);
@@ -88,58 +88,36 @@ def _mass_vectors(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return m, inv_m
 
 
-def _symmetric_csr(n: int, i: np.ndarray, j: np.ndarray, off: np.ndarray,
-                   diag: np.ndarray) -> sparse.csr_matrix:
-    """The symmetric n x n CSR matrix with off[k] at (i[k], j[k]) and
-    (j[k], i[k]) and diag on the diagonal.
-
-    For lex-sorted pairs with i < j (mesh edges, and any monotone
-    renumbering of them) the entries are listed below the diagonal, on it,
-    then above it, so every row comes out of the stable conversion to CSR
-    already sorted and the conversion skips its sort.  The (row, col) arrays
-    take the index type of i and j.
-    """
-    ids = np.arange(n, dtype=i.dtype)
-    rows = np.concatenate([j, ids, i])
-    cols = np.concatenate([i, ids, j])
-    vals = np.concatenate([off, diag, off])
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
 def _principal_block(keep: np.ndarray, edges: np.ndarray, c: np.ndarray
                      ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """The rows of the stiffness matrix of (edges, c) at the vertices where
+    """The rows of the stiffness matrix S of (edges, c) at the vertices where
     `keep` is set, split into the kept columns (the principal block) and
     the dropped columns (the coupling block), ascending vertex order within
     each.
 
-    Off the diagonal the entries are -2c; on it, 2 * the sum of c over every
-    edge at the kept vertex, edges to dropped vertices included.  The sum
-    runs in edge order, all first ends and then all second ends, which fixes
-    how inexact conductances (c0 not dyadic) round.
+    S is built once, in vertex order: -2c off the diagonal, and on it 2 *
+    the sum of c over every edge at the vertex, summed in edge order, all
+    first ends and then all second ends, which fixes how inexact
+    conductances (c0 not dyadic) round.  Mesh edges are lex-sorted pairs
+    with i < j, so the entries are listed below the diagonal, on it, then
+    above it, and every row comes out of the stable conversion to CSR
+    already sorted; slicing rows and then columns by a mask keeps that.
     """
-    total, n = len(keep), int(np.count_nonzero(keep))
-    # kept vertices become 0..n-1 and dropped ones n.., both in vertex order;
-    # the ends of every edge are renumbered once, for both blocks, into the
-    # int32 index type of the CSR results whenever it fits, as the index
-    # arrays set the memory peak of assembly
-    pos = np.empty(total, dtype=np.int32 if total < 2**31 else np.int64)
-    pos[keep] = np.arange(n)
-    pos[~keep] = np.arange(n, total)
-    i, j = pos[edges[:, 0]], pos[edges[:, 1]]
-    diag = np.zeros(total)
+    n = len(keep)
+    # the edge ends in the int32 index type of the CSR results whenever it
+    # fits, as the index arrays set the memory peak of assembly
+    i, j = edges.T.astype(np.int32 if n < 2**31 else np.int64)
+    diag = np.zeros(n)
     np.add.at(diag, i, c)
     np.add.at(diag, j, c)
-    inner = np.maximum(i, j) < n
-    off = c[inner]
-    off *= -2.0
-    block = _symmetric_csr(n, i[inner], j[inner], off, 2.0 * diag[:n])
-    out = np.flatnonzero(~inner)
-    lo, hi = np.minimum(i[out], j[out]), np.maximum(i[out], j[out])
-    cross = lo < n
-    return block, sparse.coo_matrix(
-        (-2.0 * c[out][cross], (lo[cross], hi[cross] - n)),
-        shape=(n, total - n)).tocsr()
+    ids = np.arange(n, dtype=i.dtype)
+    off = -2.0 * c
+    S = sparse.coo_matrix(
+        (np.concatenate([off, 2.0 * diag, off]),
+         (np.concatenate([j, ids, i]), np.concatenate([i, ids, j]))),
+        shape=(n, n)).tocsr()
+    rows = S[keep]
+    return rows[:, keep], rows[:, ~keep]
 
 
 def interior_blocks(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
@@ -157,8 +135,8 @@ def interior_blocks(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
 
 def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
     """Assemble the stiffness/mass pair for the requested operator kind:
-    the principal block of S and m on the kind's vertices, built from the
-    kind's edges."""
+    the rows and columns of S (built from the kind's edges) and the entries
+    of m at the kind's vertices."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if not c0 > 0:

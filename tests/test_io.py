@@ -70,6 +70,26 @@ def test_mesh_json_pinned(level, tmp_path):
     assert digest == MESH_JSON_DIGESTS[level]
 
 
+# values that a reshape or an integer cast turns into level-0 mesh arrays
+@pytest.mark.parametrize("key, value, message", [
+    ("level", True, "bad level True"),
+    ("vertices", [[0, 0, 0], [1, 1, 0]], "vertices must be a list of 2-"),
+    ("vertices", [0, 0, 0, 1, 1, 0], "vertices must be a list of 2-"),
+    ("vertices", [[0, 0], [0, 1], [1.0, 0]], "vertices must be a list of 2-"),
+    ("triangles", [0, 1, 2], "triangles must be a list of 3-"),
+    ("triangles", [[0, 1], [2, 0], [1, 2]], "triangles must be a list of 3-"),
+])
+def test_mesh_reader_rejects_reshaped_arrays(mesh0, tmp_path, key, value,
+                                             message):
+    path = tmp_path / "mesh.json"
+    fileio.write_mesh_json(mesh0, path)
+    data = json.loads(path.read_text())
+    data[key] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(fileio.FormatError, match=message):
+        fileio.read_mesh_json(path)
+
+
 def test_mesh_reader_validates_invariants(mesh1, tmp_path):
     path = tmp_path / "mesh.json"
     fileio.write_mesh_json(mesh1, path)
@@ -165,6 +185,8 @@ def test_matrix_market_reader_rejects_upper(tmp_path):
     ("", "bad entry line 2"),
     ("3 1 1.0", "outside the 2 x 2 matrix"),
     ("0 0 1.0", "outside the 2 x 2 matrix"),
+    ("2 1 1.0\n2 2 3.0", "line after the 2 declared entries: '2 2 3.0"),
+    ("2 1 1.0\n", r"line after the 2 declared entries: '\\n'"),
 ])
 def test_matrix_market_reader_rejects_malformed_entry(tmp_path, line, message):
     path = tmp_path / "bad.mtx"
