@@ -43,20 +43,26 @@ from .extension import (
     random_boundary_data,
 )
 from .lattice import LevelGuardError, MeshInvariantError, build_mesh, validate
-from .operators import KINDS, assemble, energy_sequence
+from .operators import ENERGY_PARTS, KINDS, assemble, energy_sequence
 from .solver import DenseGuardError, NumericalError, eig_full, eig_partial
 
-COMMANDS = ("mesh", "assemble", "eig", "count", "landscape", "localize",
-            "extend", "energy-seq", "run")
 # the stages `run` executes, each with its default options, into --out/<stage>
 RUN_STAGES = ("mesh", "count", "landscape", "localize", "extend")
-PATTERNS = ("alternating", "random")
 FUNCTIONS = {
     "one": lambda x, y: 1.0,
     "linear-x": lambda x, y: x,
     "linear-y": lambda x, y: y,
     "product": lambda x, y: x * y,
     "quadratic": lambda x, y: x * x + y * y,
+}
+# the valid values of each choice option, for argparse and for RunConfig
+CHOICES = {
+    "kind": KINDS,
+    "solver": ("dense", "iterative"),
+    "which": ("smallest", "largest"),
+    "pattern": ("alternating", "random"),
+    "function": tuple(sorted(FUNCTIONS)),
+    "part": ENERGY_PARTS,
 }
 
 
@@ -86,36 +92,26 @@ class RunConfig:
     part: str = "total"
 
     def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
+        if self.command not in _DISPATCH:
             raise CLIUsageError(f"unknown command {self.command!r}")
+        for name, valid in CHOICES.items():
+            if getattr(self, name) not in valid:
+                raise CLIUsageError(f"{name} must be one of {valid}, "
+                                    f"got {getattr(self, name)!r}")
         if self.level < 0:
             raise CLIUsageError(f"level must be >= 0, got {self.level}")
-        if self.kind not in KINDS:
-            raise CLIUsageError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not self.c0 > 0:
             raise CLIUsageError(f"c0 must be positive, got {self.c0}")
-        if self.solver not in ("dense", "iterative"):
-            raise CLIUsageError(f"solver must be dense or iterative, got {self.solver!r}")
         if self.k is not None and self.k < 1:
             raise CLIUsageError(f"k must be >= 1, got {self.k}")
-        if self.which not in ("smallest", "largest"):
-            raise CLIUsageError(f"which must be smallest or largest, got {self.which!r}")
         if not self.eps > 0:
             raise CLIUsageError(f"eps must be positive, got {self.eps}")
         if self.seed < 0:
             raise CLIUsageError(f"seed must be >= 0, got {self.seed}")
-        if self.pattern not in PATTERNS:
-            raise CLIUsageError(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
         if self.index is not None and self.index < 1:
             raise CLIUsageError(f"index must be >= 1, got {self.index}")
-        if self.function not in FUNCTIONS:
-            raise CLIUsageError(f"function must be one of {sorted(FUNCTIONS)}, "
-                                f"got {self.function!r}")
         if self.n_max is not None and self.n_max < 0:
             raise CLIUsageError(f"n-max must be >= 0, got {self.n_max}")
-        if self.part not in ("total", "interior", "boundary"):
-            raise CLIUsageError(f"part must be total, interior or boundary, "
-                                f"got {self.part!r}")
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -133,73 +129,63 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> _Parser:
     """The command-line parser, built once per process: parsing keeps no
-    state in it, each call fills a fresh namespace."""
+    state in it, each call fills a fresh namespace.  An option left out is
+    left out of the namespace too, so its default is RunConfig's."""
     p = _Parser(prog="snowlab", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"snowlab {__version__}")
-    sub = p.add_subparsers(dest="command", metavar="command")
+    sub = p.add_subparsers(dest="command", metavar="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, kind: bool = True) -> None:
+    def command(name: str, summary: str, kind: bool = True
+                ) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=summary,
+                            argument_default=argparse.SUPPRESS)
         sp.add_argument("--level", type=int, required=True)
-        sp.add_argument("--c0", type=float, default=1.0)
-        sp.add_argument("--out", type=str, default=".")
+        sp.add_argument("--c0", type=float)
+        sp.add_argument("--out")
         if kind:
-            sp.add_argument("--kind", choices=KINDS, default="full")
+            sp.add_argument("--kind", choices=CHOICES["kind"])
+        return sp
 
-    sp = sub.add_parser("mesh", help="build, validate and export a mesh")
-    common(sp, kind=False)
+    command("mesh", "build, validate and export a mesh", kind=False)
+    command("assemble", "export stiffness matrix and mass vector")
 
-    sp = sub.add_parser("assemble", help="export stiffness matrix and mass vector")
-    common(sp)
-
-    sp = sub.add_parser("eig", help="solve and export a spectrum")
-    common(sp)
-    sp.add_argument("--solver", choices=("dense", "iterative"), default="dense")
-    sp.add_argument("--k", type=int, default=None,
+    sp = command("eig", "solve and export a spectrum")
+    sp.add_argument("--solver", choices=CHOICES["solver"])
+    sp.add_argument("--k", type=int,
                     help="number of eigenpairs (iterative; default 6)")
-    sp.add_argument("--which", choices=("smallest", "largest"), default="smallest")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--which", choices=CHOICES["which"])
+    sp.add_argument("--seed", type=int)
 
-    sp = sub.add_parser("count", help="counting functions and regime report "
-                                      "(dense, full + dirichlet)")
-    common(sp, kind=False)
+    command("count", "counting functions and regime report "
+                     "(dense, full + dirichlet)", kind=False)
+    command("landscape", "landscape vector, closed forms, "
+                         "eigenvector bound check")
 
-    sp = sub.add_parser("landscape", help="landscape vector, closed forms, "
-                                          "eigenvector bound check")
-    common(sp)
-
-    sp = sub.add_parser("localize", help="localization table and one contour CSV")
-    common(sp, kind=False)
-    sp.add_argument("--eps", type=float, default=0.01)
-    sp.add_argument("--index", type=int, default=None,
+    sp = command("localize", "localization table and one contour CSV",
+                 kind=False)
+    sp.add_argument("--eps", type=float)
+    sp.add_argument("--index", type=int,
                     help="1-based mode for the contour export (default: highest)")
 
-    sp = sub.add_parser("extend", help="harmonic extension of boundary data")
-    common(sp, kind=False)
-    sp.add_argument("--data", type=str, default=None,
+    sp = command("extend", "harmonic extension of boundary data", kind=False)
+    sp.add_argument("--data", type=str,
                     help="boundary CSV; omit to use --pattern")
-    sp.add_argument("--pattern", choices=PATTERNS, default="alternating")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--pattern", choices=CHOICES["pattern"])
+    sp.add_argument("--seed", type=int)
 
-    sp = sub.add_parser("energy-seq", help="graph energy of a test function "
-                                           "across levels 0..n-max")
-    common(sp, kind=False)
-    sp.add_argument("--function", choices=sorted(FUNCTIONS), default="linear-x")
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sp.add_argument("--part", choices=("total", "interior", "boundary"),
-                    default="total")
+    sp = command("energy-seq", "graph energy of a test function "
+                               "across levels 0..n-max", kind=False)
+    sp.add_argument("--function", choices=CHOICES["function"])
+    sp.add_argument("--n-max", type=int)
+    sp.add_argument("--part", choices=CHOICES["part"])
 
-    sp = sub.add_parser("run", help="mesh, count, landscape, localize and "
-                                    "extend on one pipeline, plus a summary")
-    common(sp, kind=False)
+    command("run", "mesh, count, landscape, localize and "
+                   "extend on one pipeline, plus a summary", kind=False)
     return p
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command is None:
-        raise CLIUsageError("a subcommand is required")
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    given = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    return RunConfig(**given)
+    return RunConfig(**vars(args))
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -332,15 +318,9 @@ def _cmd_localize(cfg: RunConfig, p: Pipeline) -> None:
 
 def _cmd_extend(cfg: RunConfig, p: Pipeline) -> None:
     mesh = p.mesh
+    # harmonic_extend checks the data before anything is written
     if cfg.data is not None:
-        path = Path(cfg.data)
-        if not path.exists():
-            raise CLIUsageError(f"boundary data file not found: {path}")
-        values = fileio.read_boundary_csv(path)
-        if values.shape != (mesh.num_boundary_vertices,):
-            raise CLIUsageError(
-                f"boundary data has {values.shape[0]} rows, mesh needs "
-                f"{mesh.num_boundary_vertices}")
+        values = fileio.read_boundary_csv(cfg.data)
     elif cfg.pattern == "alternating":
         values = alternating_boundary_data(mesh).values
     else:

@@ -25,8 +25,10 @@ splu result by roundoff and, through the BLAS reductions inside CG, is
 byte-identical for a fixed BLAS thread count only; levels 0-4 keep the
 splu bytes.
 
-Boundary data must be finite: a NaN or infinite value is rejected with
-ValueError before any solve.
+Boundary data is checked in one place, `BoundaryData`, which wants
+3 * 4**level finite values; `harmonic_extend` wraps a copy of an array in
+one, so a wrong length or a non-finite value is a ValueError before any
+solve.
 """
 
 from __future__ import annotations
@@ -68,7 +70,11 @@ class BoundaryData:
             raise ValueError(
                 f"level {self.level} boundary data needs {expect} values, "
                 f"got shape {self.values.shape}")
-        _require_finite(self.values)
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if len(bad):
+            raise ValueError(
+                f"boundary data has {len(bad)} non-finite values, the first "
+                f"{self.values[bad[0]]} at index {bad[0]}")
         self.values.setflags(write=False)
 
 
@@ -88,27 +94,14 @@ def random_boundary_data(mesh: Mesh, seed: int = 0) -> BoundaryData:
                         values=rng.standard_normal(mesh.num_boundary_vertices))
 
 
-def _require_finite(values: np.ndarray) -> None:
-    bad = np.flatnonzero(~np.isfinite(values))
-    if len(bad):
-        raise ValueError(
-            f"boundary data has {len(bad)} non-finite values, the first "
-            f"{values[bad[0]]} at index {bad[0]}")
-
-
 def _as_values(mesh: Mesh, f) -> np.ndarray:
-    if isinstance(f, BoundaryData):
-        if f.level != mesh.level:
-            raise ValueError(
-                f"boundary data is level {f.level}, mesh is level {mesh.level}")
-        return np.asarray(f.values, dtype=float)
-    vals = np.asarray(f, dtype=float)
-    if vals.shape != (mesh.num_boundary_vertices,):
+    if not isinstance(f, BoundaryData):
+        # a copy: BoundaryData makes its array read-only
+        f = BoundaryData(mesh.level, np.array(f, dtype=float))
+    elif f.level != mesh.level:
         raise ValueError(
-            f"expected {mesh.num_boundary_vertices} boundary values, "
-            f"got shape {vals.shape}")
-    _require_finite(vals)
-    return vals
+            f"boundary data is level {f.level}, mesh is level {mesh.level}")
+    return f.values
 
 
 def _multigrid(A: sparse.csr_matrix, points: np.ndarray) -> LinearOperator:
@@ -185,8 +178,9 @@ def harmonic_extend(mesh: Mesh, f) -> np.ndarray:
     Direct sparse factorization up to DIRECT_SOLVE_LIMIT interior vertices,
     multigrid-preconditioned conjugate gradients beyond (relative tolerance
     1e-13, at most CG_MAXITER iterations); either way the interior residual
-    is checked.  Non-finite values in f raise ValueError, a solve that does
-    not converge or fails the residual check NumericalError.
+    is checked.  f is a BoundaryData of the mesh's level or an array of
+    boundary values; data that BoundaryData rejects raises ValueError, a
+    solve that does not converge or fails the residual check NumericalError.
     """
     vals = _as_values(mesh, f)
     u = np.zeros(mesh.num_vertices)

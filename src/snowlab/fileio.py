@@ -63,10 +63,10 @@ def _read_text(path: str | Path):
             f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}") from exc
 
 
-def _read_json(path: str | Path) -> Any:
+def _read_json(path: str | Path, parse_float=float) -> Any:
     with _read_text(path) as f:
         try:
-            return json.load(f)
+            return json.load(f, parse_float=parse_float)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON: {exc}") from exc
 
@@ -134,17 +134,22 @@ def write_mesh_json(mesh: Mesh, path: str | Path) -> None:
         f.write("}\n")
 
 
-def _integer_rows(value: Any, name: str, width: int) -> np.ndarray:
-    """A JSON list of integer lists, each `width` long, as an int64 array."""
+def _integer_rows(value: Any, name: str, width: int | None) -> np.ndarray:
+    """A JSON list of integer lists, each `width` long, as an int64 array;
+    with width None, a JSON list of integers."""
     rows = np.asarray(value)
-    if rows.dtype.kind != "i" or rows.ndim != 2 or rows.shape[1] != width:
-        raise ValueError(f"{name} must be a list of {width}-integer lists")
+    shape = () if width is None else (width,)
+    if rows.dtype.kind != "i" or rows.ndim == 0 or rows.shape[1:] != shape:
+        what = "integers" if width is None else f"{width}-integer lists"
+        raise ValueError(f"{name} must be a list of {what}")
     return rows.astype(np.int64, copy=False)
 
 
 def read_mesh_json(path: str | Path) -> Mesh:
-    """Load a mesh file and re-check every mesh invariant."""
-    data = _read_json(path)
+    """Load a mesh file and re-check every mesh invariant.  A mesh file
+    holds no float: float tokens read as strings, which no integer check
+    passes."""
+    data = _read_json(path, parse_float=str)
     if not isinstance(data, dict):
         raise FormatError(
             f"mesh file holds a JSON {type(data).__name__}, want an object")
@@ -157,16 +162,19 @@ def read_mesh_json(path: str | Path) -> Mesh:
         vertices = _integer_rows(data["vertices"], "vertices", 2)
         triangles = _integer_rows(data["triangles"], "triangles", 3)
         raw_edges = np.array(data["edges"], dtype=object)
-        edges = raw_edges[:, :2].astype(np.int64)
-        tags = raw_edges[:, 2]
-    except (TypeError, ValueError, IndexError) as exc:
+        ends, tags = raw_edges[:, :2], raw_edges[:, 2]
+        # int("7") is 7: compare to reject the strings that cast cleanly
+        edges = ends.astype(np.int64)
+        if not (ends == edges).all():
+            raise ValueError("edge ends must be integers")
+        bv = _integer_rows(data["boundary_vertices"], "boundary_vertices", None)
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"malformed mesh arrays: {exc}") from exc
     edge_is_boundary = tags == "b"
     if not np.all(edge_is_boundary | (tags == "i")):
         raise FormatError("edge tags must be 'b' or 'i'")
     boundary_flags = np.zeros(len(vertices), dtype=bool)
-    bv = np.asarray(data["boundary_vertices"], dtype=np.int64)
-    if bv.size and (bv.min() < 0 or bv.max() >= len(vertices)):
+    if bv.min() < 0 or bv.max() >= len(vertices):
         raise FormatError("boundary_vertices out of range")
     boundary_flags[bv] = True
     mesh = Mesh(level=level, vertices=vertices, triangles=triangles,

@@ -52,6 +52,27 @@ def test_config_validation():
         RunConfig(command="bogus", level=1)
 
 
+def test_parser_defaults_are_config_defaults():
+    parser = _build_parser()
+    for command in cli._DISPATCH:
+        args = parser.parse_args([command, "--level", "1"])
+        assert cli._config_from_args(args) == RunConfig(command, 1)
+
+
+@pytest.mark.parametrize("field", sorted(cli.CHOICES))
+def test_config_rejects_unknown_choice(field):
+    with pytest.raises(CLIUsageError, match=f"^{field} must be one of"):
+        RunConfig("eig", 1, **{field: "bogus"})
+
+
+def test_help_lists_choices(capsys):
+    with pytest.raises(SystemExit):
+        main(["energy-seq", "--help"])
+    out = capsys.readouterr().out
+    for field in ("function", "part"):
+        assert "{" + ",".join(cli.CHOICES[field]) + "}" in out
+
+
 def test_mesh_command(capsys, tmp_path):
     out = tmp_path / "m"
     code, stdout, _ = run(capsys, "mesh", "--level", "2", "--out", str(out))
@@ -226,10 +247,22 @@ def test_extend_data_not_finite(cell, capsys, tmp_path):
 def test_extend_bad_length(capsys, tmp_path):
     data = tmp_path / "bd.csv"
     fileio.write_boundary_csv(np.ones(5), data)
+    out = tmp_path / "x"
     code, _, err = run(capsys, "extend", "--level", "1", "--data", str(data),
-                       "--out", str(tmp_path / "x"))
+                       "--out", str(out))
     assert code == 2
+    assert err.startswith("error:invalid-input:") and err.count("\n") == 1
     assert "12" in err
+    assert not out.exists()
+
+
+def test_extend_missing_data_file(capsys, tmp_path):
+    out = tmp_path / "x"
+    code, _, err = run(capsys, "extend", "--level", "1", "--data",
+                       str(tmp_path / "none.csv"), "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:invalid-input:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_energy_seq_command(capsys, tmp_path):

@@ -28,6 +28,16 @@ def test_boundary_data_validation(mesh2):
         harmonic_extend(mesh2, BoundaryData(level=1, values=np.ones(12)))
 
 
+def test_extend_copies_caller_array(mesh2):
+    # BoundaryData makes its array read-only: the caller's must stay as it was
+    f = np.linspace(-1.0, 1.0, mesh2.num_boundary_vertices)
+    before = f.copy()
+    u = harmonic_extend(mesh2, f)
+    assert f.flags.writeable
+    assert np.array_equal(f, before)
+    assert np.array_equal(u[mesh2.boundary_vertices], before)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_data_rejected(bad, mesh2):
     f = np.ones(mesh2.num_boundary_vertices)

@@ -78,6 +78,11 @@ def test_mesh_json_pinned(level, tmp_path):
     ("vertices", [[0, 0], [0, 1], [1.0, 0]], "vertices must be a list of 2-"),
     ("triangles", [0, 1, 2], "triangles must be a list of 3-"),
     ("triangles", [[0, 1], [2, 0], [1, 2]], "triangles must be a list of 3-"),
+    ("edges", [[0, 1, "b"], [0, 2, "b"], [1.0, 2.9, "b"]], "malformed mesh"),
+    ("edges", [[0, 1, "b"], [0, 2, "b"], ["1", 2, "b"]],
+     "edge ends must be integers"),
+    ("boundary_vertices", [0, 1.7, 2], "boundary_vertices must be a list of "),
+    ("boundary_vertices", ["0", 1, 2], "boundary_vertices must be a list of "),
 ])
 def test_mesh_reader_rejects_reshaped_arrays(mesh0, tmp_path, key, value,
                                              message):
