@@ -116,10 +116,6 @@ class RunConfig:
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "RunConfig":
-        return cls(**data)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
@@ -182,10 +178,6 @@ def _build_parser() -> _Parser:
     command("run", "mesh, count, landscape, localize and "
                    "extend on one pipeline, plus a summary", kind=False)
     return p
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**vars(args))
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -354,10 +346,12 @@ def _cmd_energy_seq(cfg: RunConfig, p: Pipeline) -> None:
 
 
 def _cmd_run(cfg: RunConfig, p: Pipeline) -> None:
+    # both dense spectra first: a guard or an empty operator then stops the
+    # run before any stage has written a file
+    full, dirichlet = p.spectrum("full"), p.spectrum("dirichlet")
     for stage in RUN_STAGES:
         _execute(RunConfig(command=stage, level=cfg.level, c0=cfg.c0,
                            out=os.path.join(cfg.out, stage)), p)
-    full, dirichlet = p.spectrum("full"), p.spectrum("dirichlet")
     out = _outdir(cfg)
     fileio.write_eigenvalues_csv(full, out / "eigenvalues_full.csv")
     fileio.write_eigenvalues_csv(dirichlet, out / "eigenvalues_dirichlet.csv")
@@ -407,8 +401,7 @@ def _fail(slug: str, exc: BaseException, code: int) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
+        cfg = RunConfig(**vars(parser.parse_args(argv)))
     except CLIUsageError as exc:
         return _fail("usage", exc, 2)
     try:

@@ -1,11 +1,13 @@
-"""Readers and writers for the on-disk formats.
+"""Writers for the on-disk formats, and the reader of boundary data.
 
 Every writer is deterministic: fixed key order, fixed row order, LF line
 endings, and floats rendered with repr() (shortest round-trip).  Rerunning
 with the same inputs reproduces each file byte for byte.  All CSV files and
 the entry block of MatrixMarket files are one table dialect, written by
 `_write_table`: a header, then one row per entry of equal-length columns.
-A reader that finds a malformed header, row or cell raises FormatError.
+The program reads no file back but the boundary CSV that `extend --data`
+takes; `read_boundary_csv` raises FormatError on a malformed header, row or
+cell.
 
 Index conventions: CSV files that refer to matrix rows or spectrum positions
 are 1-based, matching MatrixMarket; files that refer to mesh vertices
@@ -14,11 +16,9 @@ are 1-based, matching MatrixMarket; files that refer to mesh vertices
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
-import os
 import struct
 from pathlib import Path
 from typing import Any
@@ -35,10 +35,9 @@ from .analysis import (
     RegimeReport,
     contour_classes,
 )
-from .lattice import Mesh, MeshInvariantError, cartesian_coordinates, validate
+from .lattice import Mesh, cartesian_coordinates
 from .solver import NORMALIZATION, SIGN_RULE, Spectrum
 
-MESH_KEYS = ("level", "vertices", "triangles", "edges", "boundary_vertices")
 MM_HEADER = "%%MatrixMarket matrix coordinate real symmetric"
 VECTOR_MAGIC = b"SNWV"
 VECTOR_VERSION = 1
@@ -49,26 +48,6 @@ TABLE_BLOCK_ROWS = 1 << 16
 
 class FormatError(Exception):
     """A file does not conform to the expected format."""
-
-
-@contextlib.contextmanager
-def _read_text(path: str | Path):
-    """Open `path` for reading as UTF-8 text; bytes that do not decode, met
-    anywhere in the `with` block, raise FormatError."""
-    try:
-        with Path(path).open("r", encoding="utf-8") as f:
-            yield f
-    except UnicodeDecodeError as exc:
-        raise FormatError(
-            f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}") from exc
-
-
-def _read_json(path: str | Path, parse_float=float) -> Any:
-    with _read_text(path) as f:
-        try:
-            return json.load(f, parse_float=parse_float)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
 
 
 def _write_table(path: str | Path, header: str, *columns: Any,
@@ -134,59 +113,6 @@ def write_mesh_json(mesh: Mesh, path: str | Path) -> None:
         f.write("}\n")
 
 
-def _integer_rows(value: Any, name: str, width: int | None) -> np.ndarray:
-    """A JSON list of integer lists, each `width` long, as an int64 array;
-    with width None, a JSON list of integers."""
-    rows = np.asarray(value)
-    shape = () if width is None else (width,)
-    if rows.dtype.kind != "i" or rows.ndim == 0 or rows.shape[1:] != shape:
-        what = "integers" if width is None else f"{width}-integer lists"
-        raise ValueError(f"{name} must be a list of {what}")
-    return rows.astype(np.int64, copy=False)
-
-
-def read_mesh_json(path: str | Path) -> Mesh:
-    """Load a mesh file and re-check every mesh invariant.  A mesh file
-    holds no float: float tokens read as strings, which no integer check
-    passes."""
-    data = _read_json(path, parse_float=str)
-    if not isinstance(data, dict):
-        raise FormatError(
-            f"mesh file holds a JSON {type(data).__name__}, want an object")
-    if tuple(data.keys()) != MESH_KEYS:
-        raise FormatError(f"mesh file keys {tuple(data.keys())}, want {MESH_KEYS}")
-    level = data["level"]
-    if type(level) is not int or level < 0:  # a bool is an int too
-        raise FormatError(f"bad level {level!r}")
-    try:
-        vertices = _integer_rows(data["vertices"], "vertices", 2)
-        triangles = _integer_rows(data["triangles"], "triangles", 3)
-        raw_edges = np.array(data["edges"], dtype=object)
-        ends, tags = raw_edges[:, :2], raw_edges[:, 2]
-        # int("7") is 7: compare to reject the strings that cast cleanly
-        edges = ends.astype(np.int64)
-        if not (ends == edges).all():
-            raise ValueError("edge ends must be integers")
-        bv = _integer_rows(data["boundary_vertices"], "boundary_vertices", None)
-    except (TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise FormatError(f"malformed mesh arrays: {exc}") from exc
-    edge_is_boundary = tags == "b"
-    if not np.all(edge_is_boundary | (tags == "i")):
-        raise FormatError("edge tags must be 'b' or 'i'")
-    boundary_flags = np.zeros(len(vertices), dtype=bool)
-    if bv.min() < 0 or bv.max() >= len(vertices):
-        raise FormatError("boundary_vertices out of range")
-    boundary_flags[bv] = True
-    mesh = Mesh(level=level, vertices=vertices, triangles=triangles,
-                edges=edges, edge_is_boundary=edge_is_boundary,
-                boundary_flags=boundary_flags)
-    report = validate(mesh)
-    if not report.ok:
-        failed = [c.name for c in report.checks if not c.passed]
-        raise MeshInvariantError(f"mesh file violates invariants: {failed}")
-    return mesh
-
-
 # -- operator --------------------------------------------------------------
 
 def write_matrix_market(S: sp.spmatrix, path: str | Path) -> None:
@@ -201,59 +127,9 @@ def write_matrix_market(S: sp.spmatrix, path: str | Path) -> None:
                  low.data[order].astype(np.float64, copy=False), sep=" ")
 
 
-def read_matrix_market(path: str | Path) -> sp.csr_matrix:
-    """Parse our symmetric coordinate files back to a full CSR matrix."""
-    with _read_text(path) as f:
-        header = f.readline().rstrip("\n")
-        if header != MM_HEADER:
-            raise FormatError(f"bad MatrixMarket header: {header!r}")
-        line = f.readline()
-        while line.startswith("%"):
-            line = f.readline()
-        try:
-            nrows, ncols, nnz = (int(t) for t in line.split())
-        except ValueError as exc:
-            raise FormatError(f"bad size line: {line!r}") from exc
-        if min(nrows, nnz) < 0:
-            raise FormatError(f"bad size line: {line!r}")
-        if nrows != ncols:
-            raise FormatError("symmetric matrix must be square")
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        for k in range(nnz):
-            parts = f.readline().split()
-            try:
-                if len(parts) != 3:
-                    raise ValueError(f"{len(parts)} cells, want 3")
-                rows[k] = int(parts[0]) - 1
-                cols[k] = int(parts[1]) - 1
-                vals[k] = float(parts[2])
-            except ValueError as exc:
-                raise FormatError(f"bad entry line {k + 1}") from exc
-        extra = f.readline()
-        if extra:
-            raise FormatError(
-                f"line after the {nnz} declared entries: {extra!r}")
-    if nnz and (rows < cols).any():
-        raise FormatError("entries above the diagonal in a symmetric file")
-    if nnz and (cols.min() < 0 or rows.max() >= nrows):
-        raise FormatError(f"entry index outside the {nrows} x {nrows} matrix")
-    off = rows != cols
-    full_rows = np.concatenate([rows, cols[off]])
-    full_cols = np.concatenate([cols, rows[off]])
-    full_vals = np.concatenate([vals, vals[off]])
-    S = sp.coo_matrix((full_vals, (full_rows, full_cols)), shape=(nrows, ncols))
-    return S.tocsr()
-
-
 def write_mass_csv(m: np.ndarray, path: str | Path) -> None:
     m = np.asarray(m, dtype=np.float64)
     _write_table(path, "index,mass", np.arange(1, len(m) + 1), m)
-
-
-def read_mass_csv(path: str | Path) -> np.ndarray:
-    return _read_indexed_csv(path, "index,mass", 1)[0]
 
 
 # -- spectrum --------------------------------------------------------------
@@ -261,30 +137,6 @@ def read_mass_csv(path: str | Path) -> np.ndarray:
 def write_eigenvalues_csv(spec: Spectrum, path: str | Path) -> None:
     _write_table(path, "index,eigenvalue,residual",
                  np.arange(1, spec.count + 1), spec.eigenvalues, spec.residuals)
-
-
-def read_eigenvalues_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    cols = _read_indexed_csv(path, "index,eigenvalue,residual", 2)
-    return cols[0], cols[1]
-
-
-def _read_indexed_csv(path: str | Path, header: str, ncols: int) -> list[np.ndarray]:
-    """Shared reader for 1-based 'index,...' CSVs; checks index contiguity."""
-    with _read_text(path) as f:
-        got = f.readline().rstrip("\n")
-        if got != header:
-            raise FormatError(f"bad header {got!r}, want {header!r}")
-        out: list[list[float]] = [[] for _ in range(ncols)]
-        for k, line in enumerate(f):
-            parts = line.rstrip("\n").split(",")
-            try:
-                if len(parts) != 1 + ncols or int(parts[0]) != k + 1:
-                    raise ValueError(f"want index {k + 1} and {ncols} values")
-                for c in range(ncols):
-                    out[c].append(float(parts[1 + c]))
-            except ValueError as exc:
-                raise FormatError(f"bad row {k + 1}: {line!r}") from exc
-    return [np.asarray(col, dtype=np.float64) for col in out]
 
 
 def write_vectors(values: np.ndarray, meta: dict, path: str | Path) -> Path:
@@ -325,41 +177,6 @@ def write_eigenvectors(spec: Spectrum, path: str | Path) -> Path:
     meta = {"kind": spec.kind, "level": spec.level, "c0": spec.c0,
             "normalization": NORMALIZATION, "sign_rule": SIGN_RULE}
     return write_vectors(spec.eigenvectors, meta, path)
-
-
-def read_vectors(path: str | Path) -> tuple[np.ndarray, dict]:
-    """Return ((d, k) column-major array, sidecar dict); sidecar {} when
-    absent."""
-    path = Path(path)
-    with path.open("rb") as f:
-        head = f.read(VECTOR_HEADER.size)
-        if head[:4] != VECTOR_MAGIC:
-            raise FormatError(f"bad magic {head[:4]!r}")
-        if len(head) < VECTOR_HEADER.size:
-            raise FormatError(f"{len(head)} bytes, shorter than the "
-                              f"{VECTOR_HEADER.size}-byte header")
-        _, version, d, k = VECTOR_HEADER.unpack(head)
-        if version != VECTOR_VERSION:
-            raise FormatError(f"unsupported version {version}")
-        # check the declared size against the file before allocating it
-        want = 8 * d * k
-        have = os.fstat(f.fileno()).st_size - VECTOR_HEADER.size
-        if have < want:
-            raise FormatError(f"truncated vector payload: {d} x {k} values "
-                              f"need {want} bytes, the file holds {have}")
-        if have > want:
-            raise FormatError(f"{have - want} bytes after the {d} x {k} "
-                              f"vector payload")
-        # the payload is vector by vector, which is column-major (d, k):
-        # read it straight into that array
-        arr = np.empty((d, k), dtype="<f8", order="F")
-        if f.readinto(arr.T) != arr.nbytes:
-            raise FormatError("truncated vector payload")
-    sidecar = Path(str(path) + ".json")
-    meta: dict = {}
-    if sidecar.exists():
-        meta = _read_json(sidecar)
-    return arr, meta
 
 
 # -- analysis reports ------------------------------------------------------
@@ -413,7 +230,27 @@ def write_boundary_csv(values: np.ndarray, path: str | Path) -> None:
 
 
 def read_boundary_csv(path: str | Path) -> np.ndarray:
-    return _read_indexed_csv(path, "boundary_index,value", 1)[0]
+    """The values of a boundary CSV whose indices run 1, 2, 3, ...; a bad
+    header, row or cell, or a byte that is not UTF-8, raises FormatError."""
+    header = "boundary_index,value"
+    values: list[float] = []
+    try:
+        with Path(path).open("r", encoding="utf-8") as f:
+            got = f.readline().rstrip("\n")
+            if got != header:
+                raise FormatError(f"bad header {got!r}, want {header!r}")
+            for k, line in enumerate(f):
+                parts = line.rstrip("\n").split(",")
+                try:
+                    if len(parts) != 2 or int(parts[0]) != k + 1:
+                        raise ValueError(f"want index {k + 1} and 1 value")
+                    values.append(float(parts[1]))
+                except ValueError as exc:
+                    raise FormatError(f"bad row {k + 1}: {line!r}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}") from exc
+    return np.asarray(values, dtype=np.float64)
 
 
 def write_decay_csv(profile: list[tuple[int, float]], path: str | Path) -> None:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import read_csv, read_json, read_mtx, read_snwv
 
 import snowlab
 from snowlab import cli, fileio
@@ -34,9 +35,9 @@ def test_config_json_round_trip():
                   part="boundary"),
     ]
     for cfg in configs:
-        assert RunConfig.from_json(cfg.to_json()) == cfg
+        assert RunConfig(**cfg.to_json()) == cfg
         # JSON-serializable all the way down
-        assert RunConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+        assert RunConfig(**json.loads(json.dumps(cfg.to_json()))) == cfg
 
 
 def test_config_validation():
@@ -56,7 +57,7 @@ def test_parser_defaults_are_config_defaults():
     parser = _build_parser()
     for command in cli._DISPATCH:
         args = parser.parse_args([command, "--level", "1"])
-        assert cli._config_from_args(args) == RunConfig(command, 1)
+        assert RunConfig(**vars(args)) == RunConfig(command, 1)
 
 
 @pytest.mark.parametrize("field", sorted(cli.CHOICES))
@@ -78,8 +79,8 @@ def test_mesh_command(capsys, tmp_path):
     code, stdout, _ = run(capsys, "mesh", "--level", "2", "--out", str(out))
     assert code == 0
     assert "vertices=85" in stdout
-    mesh = fileio.read_mesh_json(out / "mesh.json")
-    assert mesh.level == 2
+    mesh = read_json(out / "mesh.json")
+    assert (mesh["level"], len(mesh["vertices"])) == (2, 85)
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["config_hash"] == fileio.config_hash(meta["config"])
     assert meta["config"]["command"] == "mesh"
@@ -91,10 +92,8 @@ def test_assemble_command(capsys, tmp_path):
                           "--kind", "dirichlet", "--out", str(out))
     assert code == 0
     assert "dimension=1" in stdout
-    S = fileio.read_matrix_market(out / "stiffness.mtx")
-    assert S.shape == (1, 1)
-    m = fileio.read_mass_csv(out / "mass.csv")
-    assert m.tolist() == [1.0 / 9.0]
+    assert read_mtx(out / "stiffness.mtx").shape == (1, 1)
+    assert read_csv(out / "mass.csv")[1].tolist() == [[1.0, 1.0 / 9.0]]
 
 
 def test_eig_zero_mode(capsys, tmp_path):
@@ -102,9 +101,9 @@ def test_eig_zero_mode(capsys, tmp_path):
     code, stdout, _ = run(capsys, "eig", "--level", "0", "--kind", "full",
                           "--out", str(out))
     assert code == 0
-    w, _ = fileio.read_eigenvalues_csv(out / "eigenvalues.csv")
+    w = read_csv(out / "eigenvalues.csv")[1][:, 1]
     assert w[0] <= 1e-12
-    arr, meta = fileio.read_vectors(out / "eigenvectors.snwv")
+    arr, meta = read_snwv(out / "eigenvectors.snwv")
     assert arr.shape == (3, 3)
     assert meta["kind"] == "full"
 
@@ -126,7 +125,7 @@ def test_eig_iterative(capsys, tmp_path):
                           "iterative", "--k", "4", "--which", "largest",
                           "--out", str(out))
     assert code == 0
-    w, _ = fileio.read_eigenvalues_csv(out / "eigenvalues.csv")
+    w = read_csv(out / "eigenvalues.csv")[1][:, 1]
     assert len(w) == 4
     assert w.tolist() == sorted(w.tolist())
 
@@ -193,7 +192,7 @@ def test_extend_command(capsys, tmp_path):
     code, stdout, _ = run(capsys, "extend", "--level", "2",
                           "--pattern", "alternating", "--out", str(out))
     assert code == 0
-    arr, meta = fileio.read_vectors(out / "extension.snwv")
+    arr, meta = read_snwv(out / "extension.snwv")
     assert meta["kind"] == "extension"
     assert arr.shape == (85, 1)
     assert np.abs(arr).max() <= 1.0 + 1e-12
@@ -208,8 +207,10 @@ def test_extend_from_file(capsys, tmp_path):
     code, _, _ = run(capsys, "extend", "--level", "1", "--data", str(data),
                      "--out", str(out))
     assert code == 0
-    back = fileio.read_boundary_csv(out / "boundary.csv")
-    assert np.array_equal(back, np.arange(12, dtype=float))
+    header, rows = read_csv(out / "boundary.csv")
+    assert header == ["boundary_index", "value"]
+    assert np.array_equal(rows, np.column_stack([np.arange(1, 13),
+                                                 np.arange(12)]))
 
 
 def test_extend_malformed_data(capsys, tmp_path):
@@ -492,8 +493,7 @@ def test_run_level1_truncated_windows(capsys, tmp_path):
     pairs = json.loads((out / "pairing.json").read_text())["pairs"]
     assert len(pairs) == 10
     assert all(1 <= p["j"] <= 13 and p["j_tilde"] == 1 for p in pairs)
-    w, _ = fileio.read_eigenvalues_csv(out / "eigenvalues_dirichlet.csv")
-    assert len(w) == 1
+    assert len(read_csv(out / "eigenvalues_dirichlet.csv")[1]) == 1
 
 
 def test_run_level0_fails_as_count(capsys, tmp_path):
@@ -503,6 +503,17 @@ def test_run_level0_fails_as_count(capsys, tmp_path):
     code, _, err = run(capsys, "run", "--level", "0",
                        "--out", str(tmp_path / "r"))
     assert (code, err) == (2, count_err)
+    assert not (tmp_path / "r").exists()
+
+
+def test_run_level5_guard_writes_nothing(capsys, tmp_path):
+    # the dense guard trips before any stage runs
+    code, out, err = run(capsys, "run", "--level", "5",
+                         "--out", str(tmp_path / "r"))
+    assert (code, out) == (3, "")
+    assert err == ("error:resource-guard:dimension 48469 exceeds dense "
+                   "guard 6000; use eig_partial for extremal windows\n")
+    assert not (tmp_path / "r").exists()
 
 
 def test_run_summary_level3(capsys, tmp_path):
