@@ -16,8 +16,8 @@ Construction works on boolean occupancy grids of up and down unit
 triangles indexed by anchor lattice point: refinement is strided grid
 assignment, and vertices, triangles and edges are read off the grids in
 row-major (a, b) order, which is lex order, so nothing is sorted.
-Validation and vertex lookup key a point by one int64 whose order is (a, b)
-lex order; validate's uniqueness and edge counts are np.unique over keys.
+Vertex lookup keys a point by one int64 whose order is (a, b) lex order;
+validate keys index pairs alike and searches triangle sides in edge keys.
 """
 
 from __future__ import annotations
@@ -357,7 +357,9 @@ class ValidationReport:
 
 
 def validate(mesh: Mesh) -> ValidationReport:
-    """Check all structural invariants of a mesh; failures carry indices."""
+    """Check all structural invariants of a mesh; failures carry indices.
+    Edge entries must index `vertices`, and all entries must span under 3e9
+    so that an index pair fits one int64 key; other defects fail checks."""
     checks = []
 
     def add(name, passed, detail=""):
@@ -372,48 +374,45 @@ def validate(mesh: Mesh) -> ValidationReport:
 
     # every edge has lattice length 1: the unit offsets are the (da, db) in
     # {-1, 0, 1}^2 with da != db
-    diff = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-    near = np.all((diff >= -1) & (diff <= 1), axis=1)
-    bad = np.flatnonzero(~near | (diff[:, 0] == diff[:, 1]))
+    da, db = (x[mesh.edges[:, 1]] - x[mesh.edges[:, 0]] for x in (a, b))
+    bad = np.flatnonzero((abs(da) > 1) | (abs(db) > 1) | (da == db))
     add("all edges have lattice length 1", bad.size == 0,
         f"bad edges {bad[:5].tolist()}" if bad.size else "")
 
     # edge membership counts: boundary edges in 1 triangle, others in 2.
-    # Triangle edges are taken as (i, j), (i, k), (j, k) in row order.
-    t, e, base = mesh.triangles, mesh.edges, mesh.num_vertices
-    if not all(x.size == 0 or (x.min() >= 0 and x.max() < base)
-               for x in (t, e)):
-        # indices out of range: key their ranks instead
-        rank = np.unique(np.concatenate((t.ravel(), e.ravel())),
-                         return_inverse=True)[1]
-        t, e = rank[:t.size].reshape(-1, 3), rank[t.size:].reshape(-1, 2)
-        base = int(rank.max()) + 1
-    tkey = np.stack((t[:, 0] * base + t[:, 1], t[:, 0] * base + t[:, 2],
-                     t[:, 1] * base + t[:, 2]), axis=1).ravel()
-    ekey = e[:, 0] * base + e[:, 1]
-    ukey, first, count = np.unique(tkey, return_index=True,
-                                   return_counts=True)
-    pos = np.searchsorted(ukey, ekey)
-    hit = pos < len(ukey)
-    hit[hit] = ukey[pos[hit]] == ekey[hit]
-    if not np.all(ekey[1:] > ekey[:-1]):
-        # a repeated edge row: only its first occurrence takes the count
-        once = np.zeros(len(ekey), dtype=bool)
-        once[np.unique(ekey, return_index=True)[1]] = True
-        hit &= once
-    c = np.zeros(len(ekey), dtype=np.int64)
-    c[hit] = count[pos[hit]]
+    # A pair keys as (i - lo) * base + (j - lo), unique for any indices;
+    # each triangle side (i, j), (i, k), (j, k) is searched in the stably
+    # sorted edge keys, ended by base**2 past every key (an OverflowError
+    # unless every key fits int64), so a repeated edge row counts at its
+    # first occurrence only.
+    t, e = mesh.triangles, mesh.edges
+    frame = [mesh.num_vertices, *(int(f(x)) for x in (t, e) if x.size
+                                  for f in (np.min, np.max))]
+    lo = min(frame)
+    base = max(frame) - lo + 1
+
+    def key(i, j):
+        return (i - lo) * base + (j - lo)
+
+    ekey = key(*e.T)
+    order = np.argsort(ekey, kind="stable")
+    ekey = np.append(ekey[order], np.int64(base * base))
+    c = np.zeros(len(e), dtype=np.int64)
+    sides = np.array([[0, 1], [0, 2], [1, 2]])
+    missed = np.ones((len(t), 3), dtype=bool)
+    for s, (i, j) in enumerate(sides):
+        side = key(t[:, i], t[:, j])
+        pos = np.searchsorted(ekey, side)
+        hit = ekey[pos] == side
+        c += np.bincount(order[pos[hit]], minlength=len(e))
+        missed[:, s] = ~hit
     eib = mesh.edge_is_boundary
     missing = np.flatnonzero(c == 0)
     bad_b = np.flatnonzero((c > 0) & eib & (c != 1))
     bad_i = np.flatnonzero((c > 0) & ~eib & (c != 2))
-    tracked = np.zeros(len(ukey), dtype=bool)
-    tracked[pos[hit]] = True
-    # untracked triangle edges in order of first appearance
-    where = np.sort(first[~tracked])
-    ends = np.array([[0, 1], [0, 2], [1, 2]])[where % 3]
-    rows = mesh.triangles[where // 3]
-    extra = np.take_along_axis(rows, ends, axis=1)
+    where = np.flatnonzero(missed)  # untracked sides, in order of appearance
+    extra = np.take_along_axis(t[where // 3], sides[where % 3], axis=1)
+    extra = extra[np.sort(np.unique(key(*extra.T), return_index=True)[1])]
     add("edges belong to 1 (boundary) or 2 (interior) triangles",
         not (bad_b.size or bad_i.size or missing.size or len(extra)),
         f"boundary {bad_b[:5].tolist()}, interior {bad_i[:5].tolist()}, "

@@ -88,22 +88,17 @@ def _mass_vectors(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return m, inv_m
 
 
-def _principal_block(keep: np.ndarray, edges: np.ndarray, c: np.ndarray
-                     ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """The rows of the stiffness matrix S of (edges, c) at the vertices where
-    `keep` is set, split into the kept columns (the principal block) and
-    the dropped columns (the coupling block), ascending vertex order within
-    each.
+def _stiffness(n: int, edges: np.ndarray, c: np.ndarray) -> sparse.csr_matrix:
+    """The stiffness matrix S of (edges, c) on n vertices, in vertex order:
+    -2c off the diagonal, and on it 2 * the sum of c over every edge at the
+    vertex, summed in edge order, all first ends and then all second ends,
+    which fixes how inexact conductances (c0 not dyadic) round.
 
-    S is built once, in vertex order: -2c off the diagonal, and on it 2 *
-    the sum of c over every edge at the vertex, summed in edge order, all
-    first ends and then all second ends, which fixes how inexact
-    conductances (c0 not dyadic) round.  Mesh edges are lex-sorted pairs
-    with i < j, so the entries are listed below the diagonal, on it, then
-    above it, and every row comes out of the stable conversion to CSR
-    already sorted; slicing rows and then columns by a mask keeps that.
+    Mesh edges are lex-sorted pairs with i < j, so the entries are listed
+    below the diagonal, on it, then above it, and every row comes out of
+    the stable conversion to CSR already sorted; slicing rows and then
+    columns by ascending index arrays keeps that.
     """
-    n = len(keep)
     # the edge ends in the int32 index type of the CSR results whenever it
     # fits, as the index arrays set the memory peak of assembly
     i, j = edges.T.astype(np.int32 if n < 2**31 else np.int64)
@@ -112,12 +107,10 @@ def _principal_block(keep: np.ndarray, edges: np.ndarray, c: np.ndarray
     np.add.at(diag, j, c)
     ids = np.arange(n, dtype=i.dtype)
     off = -2.0 * c
-    S = sparse.coo_matrix(
+    return sparse.coo_matrix(
         (np.concatenate([off, 2.0 * diag, off]),
          (np.concatenate([j, ids, i]), np.concatenate([i, ids, j]))),
         shape=(n, n)).tocsr()
-    rows = S[keep]
-    return rows[:, keep], rows[:, ~keep]
 
 
 def interior_blocks(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
@@ -129,8 +122,10 @@ def interior_blocks(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     two boundary vertices), so neither block depends on c0, and the entries
     are the exact integers -2 and 2 * degree.
     """
-    return _principal_block(~mesh.boundary_flags, mesh.edges,
-                            edge_conductances(mesh))
+    iidx = mesh.interior_vertices
+    rows = _stiffness(mesh.num_vertices, mesh.edges,
+                      edge_conductances(mesh))[iidx]
+    return rows[:, iidx], rows[:, mesh.boundary_vertices]
 
 
 def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
@@ -142,14 +137,13 @@ def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
     if not c0 > 0:
         raise ValueError(f"c0 must be positive, got {c0}")
 
-    keep, edge_set = {
-        "full": (np.ones(mesh.num_vertices, dtype=bool), slice(None)),
-        "dirichlet": (~mesh.boundary_flags, slice(None)),
-        "boundary": (mesh.boundary_flags, mesh.edge_is_boundary),
+    vmap, edge_set = {
+        "full": (np.arange(mesh.num_vertices), slice(None)),
+        "dirichlet": (mesh.interior_vertices, slice(None)),
+        "boundary": (mesh.boundary_vertices, mesh.edge_is_boundary),
     }[kind]
-    S = _principal_block(keep, mesh.edges[edge_set],
-                         edge_conductances(mesh, c0)[edge_set])[0]
-    vmap = np.flatnonzero(keep)
+    S = _stiffness(mesh.num_vertices, mesh.edges[edge_set],
+                   edge_conductances(mesh, c0)[edge_set])[vmap][:, vmap]
     m, inv_m = _mass_vectors(mesh)
     return OperatorBundle(kind=kind, level=mesh.level, c0=c0, S=S,
                           m=m[vmap], inv_m=inv_m[vmap], vertex_map=vmap,

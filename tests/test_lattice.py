@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -100,6 +101,34 @@ def test_census(level):
 def test_invariants(level):
     report = validate(build_mesh(level))
     assert report.ok, str(report)
+
+
+def test_validate_memory_bound():
+    # every temporary of validate is O(E): its traced peak on a warm call
+    # stays within 2.5 times the bytes of the mesh arrays
+    mesh = build_mesh(5)
+    arrays = (mesh.vertices, mesh.triangles, mesh.edges,
+              mesh.edge_is_boundary, mesh.boundary_flags)
+    validate(mesh)
+    tracemalloc.start()
+    try:
+        assert validate(mesh).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * sum(x.nbytes for x in arrays)
+
+
+def test_validate_rejects_indices_too_wide_for_keys(mesh2):
+    # an index pair keys as one int64, so indices spanning 2**32 raise
+    # rather than wrap around into a false match
+    t = mesh2.triangles.copy()
+    t[0, 2] = 2**32
+    bad = Mesh(level=2, vertices=mesh2.vertices, triangles=t,
+               edges=mesh2.edges, edge_is_boundary=mesh2.edge_is_boundary,
+               boundary_flags=mesh2.boundary_flags)
+    with pytest.raises(OverflowError):
+        validate(bad)
 
 
 def test_euler_characteristic():
@@ -377,6 +406,25 @@ def _corrupt(mesh, kind):
         eib[k] = True
         check = "edges belong to 1 (boundary) or 2 (interior) triangles"
         detail = f"boundary [{k}], interior [], missing [], untracked []"
+    elif kind == "index-past-end":
+        # plainly keyed with base V, side (2, V + 4) of triangle (0, 2, 3)
+        # would collide with edge 7, (3, 4): 2 * 85 + 89 = 3 * 85 + 4
+        assert t[0].tolist() == [0, 2, 3] and e[7].tolist() == [3, 4]
+        t[0, 2] = len(v) + 4
+        check = "edges belong to 1 (boundary) or 2 (interior) triangles"
+        detail = ("boundary [], interior [4], missing [1], "
+                  f"untracked [(0, {len(v) + 4}), (2, {len(v) + 4})]")
+    elif kind == "negative-index":
+        assert t[3].tolist() == [2, 6, 7]
+        t[3, 2] = -4
+        check = "edges belong to 1 (boundary) or 2 (interior) triangles"
+        detail = ("boundary [], interior [6, 13], missing [], "
+                  "untracked [(2, -4), (6, -4)]")
+    elif kind == "repeated-edge":
+        # only the first of the two equal rows takes the triangle count
+        e, eib = np.insert(e, 21, e[20], axis=0), np.insert(eib, 21, eib[20])
+        check = "edges belong to 1 (boundary) or 2 (interior) triangles"
+        detail = "boundary [], interior [], missing [21], untracked []"
     elif kind == "boundary-vertex-flag":
         w = int(np.flatnonzero(~bf)[3])
         bf[w] = True
@@ -389,7 +437,8 @@ def _corrupt(mesh, kind):
 
 @pytest.mark.parametrize("kind", ["duplicate-vertex", "edge-length-2",
                                   "dropped-triangle", "boundary-edge-flag",
-                                  "boundary-vertex-flag"])
+                                  "boundary-vertex-flag", "index-past-end",
+                                  "negative-index", "repeated-edge"])
 def test_validate_detects_corruption(mesh2, kind):
     bad, check, detail = _corrupt(mesh2, kind)
     report = validate(bad)
