@@ -4,13 +4,13 @@ spectral analysis, and discrete harmonic extension."""
 
 __version__ = "0.1.0"
 
-from .lattice import Mesh, build_mesh, neighbors, validate
+from .lattice import Mesh, build_mesh, validate
 from .operators import OperatorBundle, assemble, apply, energy, energy_sequence
 from .solver import Spectrum, eig_full, eig_partial, symmetrize
 
 __all__ = [
     "__version__",
-    "Mesh", "build_mesh", "neighbors", "validate",
+    "Mesh", "build_mesh", "validate",
     "OperatorBundle", "assemble", "apply", "energy", "energy_sequence",
     "Spectrum", "eig_full", "eig_partial", "symmetrize",
 ]

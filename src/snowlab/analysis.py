@@ -34,7 +34,7 @@ def counting_function(spec: Spectrum, x: float) -> int:
 
 
 MIN_REGIME_POINTS = 10
-BURN_IN_DEFAULT = 20
+BURN_IN = 20  # leading eigenvalues left out of the log-log slope fits
 
 
 def _segment_slope(x: np.ndarray, y: np.ndarray, what: str) -> float:
@@ -48,16 +48,16 @@ def _segment_slope(x: np.ndarray, y: np.ndarray, what: str) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def loglog_slopes(spec: Spectrum, threshold: float,
-                  burn_in: int = BURN_IN_DEFAULT) -> tuple[float, float]:
+def loglog_slopes(spec: Spectrum, threshold: float) -> tuple[float, float]:
     """Least-squares slopes of log N(lambda) vs log lambda below and above
-    the threshold, excluding lambda = 0 and the first `burn_in` eigenvalues.
+    the threshold, excluding lambda = 0 and the first BURN_IN positive
+    eigenvalues.
     """
     w = spec.eigenvalues
     rank = np.arange(1, len(w) + 1, dtype=float)  # N at each eigenvalue
     pos = w > 0
     w, rank = w[pos], rank[pos]
-    w, rank = w[burn_in:], rank[burn_in:]
+    w, rank = w[BURN_IN:], rank[BURN_IN:]
     if len(w) == 0:
         raise AnalysisError("no positive eigenvalues past burn-in")
     x, y = np.log(w), np.log(rank)
@@ -90,17 +90,6 @@ class RegimeReport:
     kink_low_slope: float
     kink_high_slope: float
     kink_degenerate: bool
-
-
-def _threshold_position(w: np.ndarray, lambda_star: float) -> int:
-    """1-based position where the counting function crosses the threshold:
-    the last eigenvalue at or below lambda_star (position 1 if none are).
-
-    This is the regime-change point on the counting curve.  A plain
-    nearest-by-distance rule is unstable here: an eigenvalue a hair above
-    the threshold can be metrically closer than the last one below it.
-    """
-    return max(1, int(np.searchsorted(w, lambda_star, side="right")))
 
 
 def _two_segment_kink(w: np.ndarray) -> tuple[float, int, float, float]:
@@ -170,7 +159,12 @@ def regime_threshold(specL: Spectrum, specLd: Spectrum) -> RegimeReport:
         raise AnalysisError("regime detection needs complete spectra")
 
     lambda_star = float(specLd.eigenvalues[-1])
-    index_star = _threshold_position(specL.eigenvalues, lambda_star)
+    # the last eigenvalue at or below lambda_star (position 1 if none is):
+    # where the counting curve crosses the threshold.  A nearest-by-distance
+    # rule is unstable here, as an eigenvalue a hair above the threshold can
+    # be closer than the last one below it.
+    below = counting_function(specL, lambda_star)
+    index_star = max(1, below)
     nearest = float(specL.eigenvalues[index_star - 1])
 
     try:
@@ -180,8 +174,7 @@ def regime_threshold(specL: Spectrum, specLd: Spectrum) -> RegimeReport:
         # above stay valid, the kink fields degrade to the degenerate state
         kink_lambda, kink_index, lo, hi = (float("nan"), 0, float("nan"),
                                            float("nan"))
-    above = specL.count - counting_function(specL, lambda_star)
-    degenerate = (above < MIN_REGIME_POINTS
+    degenerate = (specL.count - below < MIN_REGIME_POINTS
                   or not np.isfinite(lo) or not np.isfinite(hi)
                   or abs(lo - hi) < 0.15)
 

@@ -143,15 +143,16 @@ def write_vectors(values: np.ndarray, meta: dict, path: str | Path) -> Path:
     """Binary vector block plus JSON sidecar at <path>.json.
 
     Layout: magic "SNWV", u32 version, u64 dimension d, u64 count k, then
-    k*d little-endian float64 values, vector by vector.  `meta` must carry
-    kind, level, c0, normalization and sign_rule; extra keys are kept.
-    The payload is streamed in column blocks of about 16 MB, with no copy
-    at all for a column-major block.
+    k*d little-endian float64 values, vector by vector.  `meta` holds
+    exactly kind, level, c0, normalization and sign_rule, and the sidecar
+    lists them in that order; a missing or an unexpected key raises
+    ValueError.  The payload is streamed in column blocks of about 16 MB,
+    with no copy at all for a column-major block.
     """
-    required = ("kind", "level", "c0", "normalization", "sign_rule")
-    missing = [k for k in required if k not in meta]
-    if missing:
-        raise ValueError(f"vector metadata missing {missing}")
+    keys = ("kind", "level", "c0", "normalization", "sign_rule")
+    if set(meta) != set(keys):
+        raise ValueError(
+            f"vector metadata must hold exactly {keys}, got {sorted(meta)}")
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -165,11 +166,7 @@ def write_vectors(values: np.ndarray, meta: dict, path: str | Path) -> Path:
         for lo in range(0, k, step):
             f.write(np.ascontiguousarray(arr[:, lo:lo + step].T, dtype="<f8"))
     sidecar = Path(str(path) + ".json")
-    ordered = {key: meta[key] for key in required}
-    for key in sorted(meta):
-        if key not in ordered:
-            ordered[key] = meta[key]
-    write_json(ordered, sidecar)
+    write_json({key: meta[key] for key in keys}, sidecar)
     return sidecar
 
 

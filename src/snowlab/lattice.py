@@ -16,22 +16,18 @@ Construction works on boolean occupancy grids of up and down unit
 triangles indexed by anchor lattice point: refinement is strided grid
 assignment, and vertices, triangles and edges are read off the grids in
 row-major (a, b) order, which is lex order, so nothing is sorted.
-Vertex lookup keys a point by one int64 whose order is (a, b) lex order;
-validate keys index pairs alike and searches triangle sides in edge keys.
+validate keys each index pair by one int64 and searches the triangle sides
+in the edge keys.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-
-# Six unit offsets of the triangular lattice, as (da, db).
-NEIGHBOR_OFFSETS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 DEFAULT_GUARD_LEVEL = 6
 GUARD_ENV_VAR = "SNOWLAB_GUARD_LEVEL"
@@ -92,23 +88,6 @@ class Mesh:
                     self.edge_is_boundary, self.boundary_flags):
             arr.setflags(write=False)
 
-    @cached_property
-    def _key_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(low corner, span, vertex keys) of the vertices' bounding box;
-        the keys ascend because the vertices are lex-sorted."""
-        return _lex_keys(self.vertices)
-
-    def _lookup(self, points) -> np.ndarray:
-        """Vertex index of each (n, 2) lattice point, -1 where absent."""
-        pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-        lo, span, keys = self._key_frame
-        off = pts - lo
-        key = off[:, 0] * span[1] + off[:, 1]
-        pos = np.searchsorted(keys, key)
-        found = np.all((off >= 0) & (off < span), axis=1) & (pos < len(keys))
-        found[found] = keys[pos[found]] == key[found]
-        return np.where(found, pos, -1)
-
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
@@ -129,16 +108,6 @@ class Mesh:
     @property
     def interior_vertices(self) -> np.ndarray:
         return np.flatnonzero(~self.boundary_flags)
-
-    def index_of(self, point: tuple[int, int]) -> int:
-        """Vertex index of an exact lattice point; KeyError if absent."""
-        idx = int(self._lookup(point)[0])
-        if idx < 0:
-            raise KeyError((int(point[0]), int(point[1])))
-        return idx
-
-    def contains(self, point: tuple[int, int]) -> bool:
-        return bool(self._lookup(point)[0] >= 0)
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees in the edge graph."""
@@ -266,14 +235,6 @@ def cartesian_coordinates(mesh: Mesh) -> np.ndarray:
     a = mesh.vertices[:, 0].astype(float)
     b = mesh.vertices[:, 1].astype(float)
     return np.column_stack(((a + 0.5 * b) * h, b * SQRT3_2 * h))
-
-
-def neighbors(mesh: Mesh, v: int) -> list[int]:
-    """Mesh vertices at lattice distance 1 from v, ascending."""
-    if not 0 <= v < mesh.num_vertices:
-        raise IndexError(f"vertex index {v} out of range")
-    idx = mesh._lookup(mesh.vertices[v] + np.array(NEIGHBOR_OFFSETS))
-    return sorted(idx[idx >= 0].tolist())
 
 
 def boundary_cycle(mesh: Mesh) -> np.ndarray:

@@ -122,13 +122,15 @@ def symmetrize(op: OperatorBundle) -> sparse.csr_matrix:
     """D = M^-1/2 S M^-1/2, exactly symmetric entrywise.
 
     Each entry is scaled by the single product d_i * d_j (commutative, so
-    the (i, j) and (j, i) entries round identically).
+    the (i, j) and (j, i) entries round identically).  D shares the index
+    arrays of S.
     """
+    S = op.S
     d = np.sqrt(op.inv_m)
-    C = op.S.tocoo()
-    vals = C.data * (d[C.row] * d[C.col])
-    return sparse.coo_matrix(
-        (vals, (C.row, C.col)), shape=C.shape).tocsr()
+    row = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    return sparse.csr_matrix(
+        (S.data * (d[row] * d[S.indices]), S.indices, S.indptr),
+        shape=S.shape)
 
 
 def _require_rows(op: OperatorBundle) -> None:

@@ -74,13 +74,13 @@ class IrrepBlock:
     """Orthonormal basis of one irrep block of the symmetrized operator.
 
     For a two-dimensional irrep, `basis` spans the first row (the image of
-    P_11) and `partner` = P_21 basis spans the second; the block matrix is
-    the same on both, so one solve serves the pair.
+    P_11), tagged `tag`, and `partner` = P_21 basis spans the second, tagged
+    `tag + "'"`; the block matrix is the same on both, so one solve serves
+    the pair.
     """
 
     tag: str
     basis: sparse.csc_matrix                   # (d, b)
-    partner_tag: str | None = None
     partner: sparse.csc_matrix | None = None   # (d, b)
 
     @property
@@ -92,7 +92,7 @@ class IrrepBlock:
         """(tag, basis) of each irrep row: one, or two for an E block."""
         if self.partner is None:
             return [(self.tag, self.basis)]
-        return [(self.tag, self.basis), (self.partner_tag, self.partner)]
+        return [(self.tag, self.basis), (self.tag + "'", self.partner)]
 
     @property
     def multiplicity(self) -> int:
@@ -224,10 +224,7 @@ def irrep_blocks(op: OperatorBundle) -> list[IrrepBlock]:
         scale = 1.0 / norms.ravel()[keep]
         basis = [_basis(cand[:, :, i], rows, keep, scale, d)
                  for i in range(dim)]
-        if dim == 1:
-            blocks.append(IrrepBlock(tag, basis[0]))
-        else:
-            blocks.append(IrrepBlock(tag, basis[0], tag + "'", basis[1]))
+        blocks.append(IrrepBlock(tag, *basis))
     return blocks
 
 

@@ -253,6 +253,11 @@ def test_vectors_reader_rejects_malformed_sidecar(tmp_path):
 def test_vectors_meta_required(tmp_path):
     with pytest.raises(ValueError):
         fileio.write_vectors(np.ones(3), {"kind": "x"}, tmp_path / "v.snwv")
+    # the sidecar holds exactly the five keys: an extra one is rejected too
+    meta = {"kind": "extension", "level": 0, "c0": 1.0,
+            "normalization": "none", "sign_rule": "none", "note": "x"}
+    with pytest.raises(ValueError, match="note"):
+        fileio.write_vectors(np.ones(3), meta, tmp_path / "v.snwv")
 
 
 def test_boundary_round_trip(tmp_path, rng):

@@ -19,7 +19,6 @@ from snowlab.lattice import (
     boundary_hop_distance,
     build_mesh,
     cartesian_coordinates,
-    neighbors,
     validate,
 )
 
@@ -185,20 +184,19 @@ def test_edges_normalized(mesh2):
     assert len(np.unique(e, axis=0)) == len(e)
 
 
-def test_index_round_trip(mesh2):
-    for v in (0, 1, mesh2.num_vertices - 1):
-        a, b = mesh2.vertices[v]
-        assert mesh2.index_of((int(a), int(b))) == v
-        assert mesh2.contains((int(a), int(b)))
-    assert not mesh2.contains((10**9, 10**9))
-
-
-def test_neighbors_match_degrees(mesh2):
-    deg = mesh2.degrees()
-    for v in range(mesh2.num_vertices):
-        nbrs = neighbors(mesh2, v)
-        assert len(nbrs) == deg[v]
-        assert v not in nbrs
+@pytest.mark.parametrize("level", range(5))
+def test_unit_steps_are_edges(level):
+    # validate checks that every edge is one lattice step long; conversely,
+    # every pair of vertices one lattice step apart is an edge
+    mesh = build_mesh(level)
+    index = {p: v for v, p in enumerate(map(tuple, mesh.vertices.tolist()))}
+    steps = set()
+    for (a, b), v in index.items():
+        for da, db in ((1, 0), (0, 1), (-1, 1)):
+            w = index.get((a + da, b + db))
+            if w is not None:
+                steps.add((min(v, w), max(v, w)))
+    assert steps == set(map(tuple, mesh.edges.tolist()))
 
 
 def test_edge_lengths(mesh2):
@@ -359,22 +357,6 @@ def test_mesh_output_pinned(level):
     assert got == MESH_DIGESTS[level]
 
 
-def test_index_lookup_absent_points(mesh2):
-    # every lattice point next to the mesh, including points just outside
-    # its bounding box, is found exactly when it is a vertex
-    present = {tuple(p) for p in mesh2.vertices.tolist()}
-    for a, b in mesh2.vertices.tolist():
-        for da, db in ((0, 0), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1),
-                       (1, -1), (2, 0), (0, -2)):
-            p = (a + da, b + db)
-            assert mesh2.contains(p) == (p in present)
-            if p in present:
-                assert tuple(mesh2.vertices[mesh2.index_of(p)]) == p
-            else:
-                with pytest.raises(KeyError):
-                    mesh2.index_of(p)
-
-
 def _corrupt(mesh, kind):
     """A copy of `mesh` with one defect, the check it must fail and the
     failure detail that names the corrupted index."""
@@ -385,10 +367,11 @@ def _corrupt(mesh, kind):
         check, detail = "vertices lex-sorted and unique", "vertices [10]"
     elif kind == "edge-length-2":
         # reroute edge k to the vertex two steps along +a from its start
+        index = {p: n for n, p in enumerate(map(tuple, v.tolist()))}
         for k, (i, j) in enumerate(e.tolist()):
-            far = (int(v[i, 0]) + 2, int(v[i, 1]))
-            if mesh.contains(far) and mesh.index_of(far) > i:
-                e[k, 1] = mesh.index_of(far)
+            far = index.get((int(v[i, 0]) + 2, int(v[i, 1])), -1)
+            if far > i:
+                e[k, 1] = far
                 break
         check, detail = "all edges have lattice length 1", f"bad edges [{k}]"
     elif kind == "dropped-triangle":

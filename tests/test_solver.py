@@ -63,6 +63,30 @@ def test_symmetrize_exact(mesh2):
     assert (D - D.T).nnz == 0
 
 
+def _symmetrize_by_coo(op: OperatorBundle) -> sparse.csr_matrix:
+    """Reference: the COO round trip that scaling S.data in place replaced,
+    kept verbatim as the byte-equality oracle."""
+    d = np.sqrt(op.inv_m)
+    C = op.S.tocoo()
+    vals = C.data * (d[C.row] * d[C.col])
+    return sparse.coo_matrix(
+        (vals, (C.row, C.col)), shape=C.shape).tocsr()
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_symmetrize_matches_coo_reference(level):
+    mesh = build_mesh(level)
+    for kind in ("full", "dirichlet", "boundary"):
+        for c0 in (1.0, 0.37):
+            op = assemble(mesh, kind, c0)
+            D, ref = symmetrize(op), _symmetrize_by_coo(op)
+            assert D.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(D, name), getattr(ref, name)
+                assert got.dtype == want.dtype, (kind, c0, name)
+                assert got.tobytes() == want.tobytes(), (kind, c0, name)
+
+
 def test_spectrum_properties(spec2_full, op2_full):
     spec = spec2_full
     assert spec.count == spec.dimension == op2_full.dimension
