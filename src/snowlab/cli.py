@@ -100,8 +100,9 @@ class RunConfig:
                                     f"got {getattr(self, name)!r}")
         if self.level < 0:
             raise CLIUsageError(f"level must be >= 0, got {self.level}")
-        if not self.c0 > 0:
-            raise CLIUsageError(f"c0 must be positive, got {self.c0}")
+        if not 0 < self.c0 < np.inf:
+            raise CLIUsageError(f"c0 must be positive and finite, "
+                                f"got {self.c0}")
         if self.k is not None and self.k < 1:
             raise CLIUsageError(f"k must be >= 1, got {self.k}")
         if not self.eps > 0:

@@ -134,8 +134,8 @@ def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
     of m at the kind's vertices."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if not c0 > 0:
-        raise ValueError(f"c0 must be positive, got {c0}")
+    if not 0 < c0 < np.inf:
+        raise ValueError(f"c0 must be positive and finite, got {c0}")
 
     vmap, edge_set = {
         "full": (np.arange(mesh.num_vertices), slice(None)),

@@ -19,15 +19,16 @@ taken from the same block solve.  Eigenvalues of a partner pair are
 therefore bit-equal and every pair has a canonical basis, so the
 symmetry-forced degeneracies do not leave the basis to the LAPACK/BLAS
 internals.  Operators without the symmetry (level 0) are one identity
-block.  The dense path (eig_full, up to the guard) runs one
-scipy.linalg.eigh per block.  The Krylov path (eig_partial) runs one
-ARPACK shift-invert solve per block at either end of the spectrum and
-merges the block windows exactly; it is validated against the dense path
-at levels <= 4.  The shift lies outside the spectrum, so each shifted
-block is definite and is factored once by SuperLU in symmetric mode:
-diagonal pivots on a minimum-degree ordering of its pattern, which fills
-less than a partially pivoted factorization.  Both return irrep tags and
-order equal eigenvalues the same way.
+block.  Both run one loop that takes each block's share of a window at
+one end of the spectrum.  A share smaller than the block size minus one
+is solved by ARPACK shift-invert, validated against the dense path at
+levels <= 4.  The shift lies outside the spectrum, so each shifted block
+is definite and is factored once by SuperLU in symmetric mode: diagonal
+pivots on a minimum-degree ordering of its pattern, which fills less than
+a partially pivoted factorization.  A larger share is sliced from one
+dense eigh of the block.  eig_full (up to the guard) is the window of the
+whole spectrum, so every block takes that dense eigh.  Both return irrep
+tags and order equal eigenvalues the same way.
 
 Both finish the block eigenvectors in one pass, a cache-sized chunk of
 columns at a time, with the same floating-point operations per column
@@ -47,8 +48,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from .operators import OperatorBundle
 from .symmetry import reduced_blocks
 
-DENSE_GUARD_DEFAULT = 6000
-RESIDUAL_TOL_DEFAULT = 1e-8
+DENSE_GUARD = 6000
+RESIDUAL_TOL = 1e-8
 SIGN_TIE_TOL = 1e-12
 # bytes of each (d, c) temporary in the pass that finishes eigenpairs:
 # small enough for a chunk's temporaries to stay in cache, wide enough for
@@ -133,22 +134,13 @@ def symmetrize(op: OperatorBundle) -> sparse.csr_matrix:
         shape=S.shape)
 
 
-def _require_rows(op: OperatorBundle) -> None:
-    """Reject an operator with no rows: the Dirichlet operator of a mesh
-    without interior vertices (level 0)."""
-    if op.dimension == 0:
-        raise ValueError(
-            f"the {op.kind} operator at level {op.level} has no rows: "
-            f"the mesh has no interior vertex")
-
-
 def chunk_columns(d: int) -> int:
     """Columns of a (d, c) float64 temporary that fit in CHUNK_BYTES."""
     return max(1, CHUNK_BYTES // (8 * d))
 
 
-def _spectrum(op: OperatorBundle, solved: list, window: slice, solver: str,
-              residual_tol: float) -> Spectrum:
+def _spectrum(op: OperatorBundle, solved: list, window: slice,
+              solver: str) -> Spectrum:
     """One Spectrum from per-block eigenpairs, finished in one pass.
 
     `solved` holds (tag, basis, eigenvalues, block eigenvectors) per irrep
@@ -158,14 +150,15 @@ def _spectrum(op: OperatorBundle, solved: list, window: slice, solver: str,
     that order.  Each kept block eigenvector y goes through
     phi = M^-1/2 Q y, m-normalization, the sign rule and the residual
     check with a chunk of its row's columns, and is written once, into its
-    sorted column.
+    sorted column.  Both checks fail on a NaN, so a NaN eigenvalue or
+    residual raises NumericalError.
     """
     w_all = np.concatenate([w for _, _, w, _ in solved])
     order = np.argsort(w_all, kind="stable")[window]
     w = w_all[order]
     scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
-    neg_tol = residual_tol * scale
-    if np.any(w < -neg_tol):
+    neg_tol = RESIDUAL_TOL * scale
+    if not np.all(w >= -neg_tol):
         worst = float(np.min(w))
         raise NumericalError(
             f"eigenvalue {worst} below -{neg_tol:.3e}; operator should be PSD")
@@ -199,8 +192,8 @@ def _spectrum(op: OperatorBundle, solved: list, window: slice, solver: str,
             residuals[cols] = np.max(np.abs(R), axis=0)
             Phi[:, cols] = P
 
-    bound = residual_tol * np.maximum(1.0, w)
-    bad = np.flatnonzero(residuals > bound)
+    bound = RESIDUAL_TOL * np.maximum(1.0, w)
+    bad = np.flatnonzero(~(residuals <= bound))
     if bad.size:
         j = int(bad[0])
         raise NumericalError(
@@ -215,35 +208,30 @@ def _spectrum(op: OperatorBundle, solved: list, window: slice, solver: str,
                     irreps=tuple(tags[order].tolist()))
 
 
-def eig_full(op: OperatorBundle, dense_guard: int = DENSE_GUARD_DEFAULT,
-             residual_tol: float = RESIDUAL_TOL_DEFAULT) -> Spectrum:
+def eig_full(op: OperatorBundle) -> Spectrum:
     """Full spectrum by dense eigendecomposition of D, one symmetry block
-    at a time.
+    at a time: the blocked loop of eig_partial with the whole spectrum as
+    its window, so every block is solved by one dense eigh.
 
     Pairs are sorted by eigenvalue; equal eigenvalues keep the block order
     A1, A2, B1, B2, E1, E1', E2, E2'.
     """
-    _require_rows(op)
     n = op.dimension
-    if n > dense_guard:
+    if n > DENSE_GUARD:
         raise DenseGuardError(
-            f"dimension {n} exceeds dense guard {dense_guard}; "
+            f"dimension {n} exceeds dense guard {DENSE_GUARD}; "
             f"use eig_partial for extremal windows")
-    solved = []
-    for blk, A in reduced_blocks(op, symmetrize(op)):
-        w, Y = scipy.linalg.eigh(A.toarray(), overwrite_a=True,
-                                 check_finite=False)
-        solved += [(tag, Q, w, Y) for tag, Q in blk.rows]
-    return _spectrum(op, solved, slice(None), "dense", residual_tol)
+    return _blocked(op, n, "smallest", seed=0, label="dense")
 
 
 def _extremal_pairs(A: sparse.csr_matrix, count: int, which: str,
-                    sigma: float, seed: int, maxiter: int | None,
+                    sigma: float, seed: int,
                     tag: str) -> tuple[np.ndarray, np.ndarray, bool]:
     """The `count` smallest or largest eigenpairs of one block, ascending,
-    and whether ARPACK computed them.  A window of at least the block size
-    minus one, which leaves ARPACK no room to restart, is sliced from a
-    dense eigh."""
+    and whether ARPACK computed them, with its default iteration limit.  A
+    window of at least the block size minus one, which leaves ARPACK no
+    room to restart, is sliced from a dense eigh.  A shifted block that
+    SuperLU cannot factor (a non-finite entry) raises NumericalError."""
     b = A.shape[0]
     if count >= b - 1:
         w, Y = scipy.linalg.eigh(A.toarray(), overwrite_a=True,
@@ -254,28 +242,31 @@ def _extremal_pairs(A: sparse.csr_matrix, count: int, which: str,
     # stable and the minimum-degree ordering of its symmetric pattern is
     # kept; it fills less than the partially pivoted COLAMD factorization
     # eigsh would build itself
-    lu = scipy.sparse.linalg.splu(
-        (A - sigma * sparse.identity(b, format="csr")).tocsc(),
-        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True})
+    try:
+        lu = scipy.sparse.linalg.splu(
+            (A - sigma * sparse.identity(b, format="csr")).tocsc(),
+            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise NumericalError(
+            f"shifted block {tag} does not factor: {exc}") from exc
     OPinv = scipy.sparse.linalg.LinearOperator((b, b), matvec=lu.solve,
                                                dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(b)
     try:
         w, Y = scipy.sparse.linalg.eigsh(A, k=count, sigma=sigma, which="LM",
-                                         v0=v0, maxiter=maxiter, OPinv=OPinv)
+                                         v0=v0, OPinv=OPinv)
     except ArpackNoConvergence as exc:
         got = len(exc.eigenvalues)
         raise NumericalError(
             f"ARPACK converged {got}/{count} pairs in block {tag} "
-            f"(which={which}); increase maxiter or reduce k") from exc
+            f"(which={which}); reduce k") from exc
     order = np.argsort(w, kind="stable")
     return w[order], Y[:, order], True
 
 
 def eig_partial(op: OperatorBundle, k: int, which: str = "smallest",
-                seed: int = 0, maxiter: int | None = None,
-                residual_tol: float = RESIDUAL_TOL_DEFAULT) -> Spectrum:
+                seed: int = 0) -> Spectrum:
     """k extremal eigenpairs of D by shift-invert ARPACK, one symmetry
     block at a time.
 
@@ -297,8 +288,17 @@ def eig_partial(op: OperatorBundle, k: int, which: str = "smallest",
     "iterative", or "iterative-dense-fallback" when every block was
     solved densely.
     """
-    _require_rows(op)
+    return _blocked(op, k, which, seed, label=None)
+
+
+def _blocked(op: OperatorBundle, k: int, which: str, seed: int,
+             label: str | None) -> Spectrum:
+    """eig_partial's window, with solver label `label` if one is given."""
     n = op.dimension
+    if n == 0:
+        raise ValueError(
+            f"the {op.kind} operator at level {op.level} has no rows: "
+            f"the mesh has no interior vertex")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if which not in ("smallest", "largest"):
@@ -315,12 +315,10 @@ def eig_partial(op: OperatorBundle, k: int, which: str = "smallest",
     solved, krylov = [], False
     for blk, A in reduced_blocks(op, D):
         count = min(-(-k // blk.multiplicity), blk.size)
-        w, Y, used = _extremal_pairs(A, count, which, sigma, seed, maxiter,
-                                     blk.tag)
+        w, Y, used = _extremal_pairs(A, count, which, sigma, seed, blk.tag)
         krylov |= used
         solved += [(tag, Q, w, Y) for tag, Q in blk.rows]
     window = slice(0, k) if which == "smallest" else slice(-k, None)
-    return _spectrum(op, solved, window,
-                     "iterative" if krylov else "iterative-dense-fallback",
-                     residual_tol)
+    return _spectrum(op, solved, window, label or (
+        "iterative" if krylov else "iterative-dense-fallback"))
 

@@ -45,6 +45,10 @@ def test_config_validation():
         RunConfig(command="mesh", level=-1)
     with pytest.raises(CLIUsageError):
         RunConfig(command="mesh", level=1, c0=0.0)
+    for c0 in (np.inf, np.nan):
+        with pytest.raises(CLIUsageError,
+                           match="^c0 must be positive and finite, got"):
+            RunConfig(command="mesh", level=1, c0=c0)
     with pytest.raises(CLIUsageError):
         RunConfig(command="eig", level=1, k=0)
     with pytest.raises(CLIUsageError):
@@ -284,11 +288,27 @@ def test_exit_code_guard(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("solver", ["dense", "iterative"])
+def test_eig_nonfinite_operator(capsys, tmp_path, solver):
+    # c0 * 4**level overflows to inf: a non-finite spectrum (dense) or a
+    # shifted block SuperLU cannot factor (iterative) is one numerical error
+    code, out, err = run(capsys, "eig", "--level", "2", "--c0", "1e308",
+                         "--solver", solver, "--out", str(tmp_path / "e"))
+    assert (code, out) == (4, "")
+    assert err.startswith("error:numerical:") and err.count("\n") == 1
+    assert not (tmp_path / "e").exists()
+
+
 def test_exit_code_bad_args(capsys, tmp_path):
     code, _, err = run(capsys, "eig", "--level", "1", "--c0", "-2",
                        "--out", str(tmp_path / "b"))
     assert code == 2
     assert err.startswith("error:usage:")
+
+    code, _, err = run(capsys, "eig", "--level", "1", "--c0", "inf",
+                       "--out", str(tmp_path / "b"))
+    assert (code, err) == (2, "error:usage:c0 must be positive and finite, "
+                              "got inf\n")
 
     code, _, err = run(capsys, "nope")
     assert code == 2

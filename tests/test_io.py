@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import read_csv, read_json, read_mesh, read_mtx, read_snwv
 
-from snowlab import fileio
+from snowlab import fileio, solver
 from snowlab.lattice import build_mesh, validate
 from snowlab.solver import NORMALIZATION, SIGN_RULE
 
@@ -330,6 +330,23 @@ def test_fileio_functions_for_the_tracer():
     assert writers
     for name in writers:
         assert "path" in inspect.signature(public[name]).parameters, name
+
+
+def test_solver_functions_for_the_tracer(op2_full, monkeypatch):
+    # perfbench/tracer.py times solver.eig_full and solver.eig_partial by
+    # name, so eig_full must not reach eig_partial through the module, and
+    # the signatures are the calls perfbench/workloads.py and the CLI make
+    def refuse(*args, **kwargs):
+        raise AssertionError("eig_full called solver.eig_partial")
+
+    monkeypatch.setattr(solver, "eig_partial", refuse)
+    assert solver.eig_full(op2_full).count == op2_full.dimension
+    monkeypatch.undo()
+    assert str(inspect.signature(solver.eig_full)) == (
+        "(op: 'OperatorBundle') -> 'Spectrum'")
+    assert str(inspect.signature(solver.eig_partial)) == (
+        "(op: 'OperatorBundle', k: 'int', which: 'str' = 'smallest', "
+        "seed: 'int' = 0) -> 'Spectrum'")
 
 
 def test_byte_identical_rewrites(mesh2, op2_full, tmp_path):

@@ -316,6 +316,10 @@ def test_c0_validation(mesh1):
         assemble(mesh1, "full", c0=0.0)
     with pytest.raises(ValueError):
         assemble(mesh1, "full", c0=-1.0)
+    for c0 in (np.inf, np.nan):
+        with pytest.raises(ValueError,
+                           match="^c0 must be positive and finite, got"):
+            assemble(mesh1, "full", c0=c0)
     with pytest.raises(ValueError):
         assemble(mesh1, "bogus")
 

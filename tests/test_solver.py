@@ -1,6 +1,10 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy import sparse
 
 from snowlab import solver
@@ -136,10 +140,19 @@ def test_partial_matches_dense(which, op2_full, spec2_full):
 
 
 def test_partial_dense_fallback():
-    op = assemble(build_mesh(1), "full")
-    spec = eig_partial(op, op.dimension, which="smallest")
-    assert spec.count == op.dimension
-    assert spec.solver == "iterative-dense-fallback"
+    # eig_full is the whole-spectrum window of the blocked loop: every
+    # block takes the dense branch, so the two agree byte for byte
+    for level in range(4):
+        for kind in ("full", "dirichlet", "boundary"):
+            if (level, kind) == (0, "dirichlet"):
+                continue  # no interior vertices yet
+            op = assemble(build_mesh(level), kind)
+            full = eig_full(op)
+            spec = eig_partial(op, op.dimension, which="smallest")
+            assert spec.count == op.dimension
+            assert full.solver == "dense"
+            assert spec.solver == "iterative-dense-fallback"
+            assert_same_bytes(spec, replace(full, solver=spec.solver))
 
 
 def test_partial_seeded_deterministic(op2_full):
@@ -149,14 +162,23 @@ def test_partial_seeded_deterministic(op2_full):
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
-def test_dense_guard(op2_full):
-    with pytest.raises(DenseGuardError):
-        eig_full(op2_full, dense_guard=10)
+def test_dense_guard(op2_full, monkeypatch):
+    monkeypatch.setattr(solver, "DENSE_GUARD", 10)
+    with pytest.raises(DenseGuardError, match="exceeds dense guard 10;"):
+        eig_full(op2_full)
 
 
-def test_residual_tolerance_enforced(op2_full):
+def test_residual_tolerance_enforced(op2_full, monkeypatch):
+    monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-30)
     with pytest.raises(NumericalError):
-        eig_full(op2_full, residual_tol=1e-30)
+        eig_full(op2_full)
+
+
+def test_nonfinite_spectrum_raises():
+    # c0 * 4 overflows to inf, so D holds non-finite entries and the dense
+    # eigenpairs are NaN, which the finishing pass's checks must not pass
+    with pytest.raises(NumericalError):
+        eig_full(assemble(build_mesh(1), "full", 1e308))
 
 
 def test_truncated(spec2_full):
@@ -168,11 +190,17 @@ def test_truncated(spec2_full):
     assert t.dimension == spec2_full.dimension
 
 
-def test_partial_k_validation(op2_full):
+def test_partial_k_validation(op2_full, mesh0):
     with pytest.raises(ValueError):
         eig_partial(op2_full, 0)
     with pytest.raises(ValueError):
         eig_partial(op2_full, 5, which="middle")
+    empty = assemble(mesh0, "dirichlet")
+    rows = "has no rows: the mesh has no interior vertex"
+    with pytest.raises(ValueError, match=rows):
+        eig_full(empty)
+    with pytest.raises(ValueError, match=rows):
+        eig_partial(empty, 1)
 
 
 def assert_window_matches_full(part, full, which, k):
@@ -252,10 +280,12 @@ def test_partial_level1_dense_blocks(mesh1):
 
 
 @pytest.mark.parametrize("which", ("smallest", "largest"))
-def test_partial_no_convergence_names_block(mesh3, which):
+def test_partial_no_convergence_names_block(mesh3, which, monkeypatch):
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", functools.partial(
+        scipy.sparse.linalg.eigsh, maxiter=1))
     op = assemble(mesh3, "full")
     with pytest.raises(NumericalError, match=r"in block A1 \(which="):
-        eig_partial(op, 20, which=which, maxiter=1)
+        eig_partial(op, 20, which=which)
 
 
 # -- reference: the two-pass scatter-then-finalize code the fused pass
@@ -354,12 +384,14 @@ def assert_same_bytes(spec, ref):
 
 
 def spy_on_blocks(monkeypatch):
-    """Record the arguments of every call of the fused pass."""
+    """Record the arguments of every call of the fused pass, followed by
+    the residual tolerance it reads, as the two-pass reference takes
+    them."""
     calls = []
     fused = solver._spectrum
 
     def spy(*args):
-        calls.append(args)
+        calls.append(args + (solver.RESIDUAL_TOL,))
         return fused(*args)
 
     monkeypatch.setattr(solver, "_spectrum", spy)
@@ -412,7 +444,7 @@ def test_fused_level4_matches_two_pass(op4_full, spec4_full, op4_dir,
                                        spec4_dir):
     for op, spec in ((op4_full, spec4_full), (op4_dir, spec4_dir)):
         ref = _merge(op, block_eigenpairs(op), slice(None), "dense",
-                     solver.RESIDUAL_TOL_DEFAULT)
+                     solver.RESIDUAL_TOL)
         assert_same_bytes(spec, ref)
         del ref
 
@@ -420,11 +452,12 @@ def test_fused_level4_matches_two_pass(op4_full, spec4_full, op4_dir,
 @pytest.mark.parametrize("call", ("full", "smallest", "largest"))
 def test_fused_residual_error_matches_two_pass(call, op2_dir, monkeypatch):
     calls = spy_on_blocks(monkeypatch)
+    monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-30)
     with pytest.raises(NumericalError) as fused:
         if call == "full":
-            eig_full(op2_dir, residual_tol=1e-30)
+            eig_full(op2_dir)
         else:
-            eig_partial(op2_dir, 8, which=call, residual_tol=1e-30)
+            eig_partial(op2_dir, 8, which=call)
     with pytest.raises(NumericalError) as ref:
         _merge(*calls[0])
     assert str(fused.value) == str(ref.value)
