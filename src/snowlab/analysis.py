@@ -285,35 +285,29 @@ class LocalizationReport:
 
     distance_histogram[j, d] is the share of pair j's m-weighted squared
     mass at graph hop distance d from the boundary (d = 0 is the boundary
-    itself); rows sum to 1.  contour_counts[j] counts vertices in the
-    (zero, pos, neg) classes of the max-normalized eigenvector.
+    itself); rows sum to 1, and boundary_mass_fraction is column 0.
     """
 
     level: int
-    eps: float
     eigenvalues: np.ndarray            # (k,)
     boundary_mass_fraction: np.ndarray  # (k,)
     distance_histogram: np.ndarray     # (k, max_distance + 1)
-    contour_counts: np.ndarray         # (k, 3)
 
     def __post_init__(self):
         for arr in (self.eigenvalues, self.boundary_mass_fraction,
-                    self.distance_histogram, self.contour_counts):
+                    self.distance_histogram):
             arr.setflags(write=False)
 
 
-def localization_report(spec: Spectrum, mesh: Mesh,
-                        eps: float = 0.01) -> LocalizationReport:
-    """Boundary mass fractions, distance profiles, and contour class counts
-    for every eigenpair of a full-mesh spectrum.
+def localization_report(spec: Spectrum, mesh: Mesh) -> LocalizationReport:
+    """Boundary mass fractions and hop-distance mass profiles for every
+    eigenpair of a full-mesh spectrum.
 
     Works on a cache-sized chunk of eigenvectors at a time
     (`solver.chunk_columns`), so its temporaries stay small whatever the
     spectrum size.  Each column is summed on its own, in column-major
     layout, so the result does not depend on the chunk width.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     if spec.dimension != mesh.num_vertices or not np.array_equal(
             spec.vertex_map, np.arange(mesh.num_vertices)):
         raise AnalysisError("localization needs a spectrum on the full mesh")
@@ -327,26 +321,16 @@ def localization_report(spec: Spectrum, mesh: Mesh,
                               shape=(int(dist.max()) + 1, d))
 
     hist = np.empty((k, shell.shape[0]))
-    counts = np.empty((k, 3), dtype=np.int64)
     width = chunk_columns(d)
     for lo in range(0, k, width):
         hi = min(lo + width, k)
         Phi = np.asfortranarray(spec.eigenvectors[:, lo:hi])
         mass = m[:, None] * Phi * Phi
         hist[lo:hi] = (shell @ mass / mass.sum(axis=0)).T
-        peak = np.max(np.abs(Phi), axis=0)
-        # a zero column stays unscaled (x / 1.0 == x)
-        v = Phi / np.where(peak > 0, peak, 1.0)
-        pos = np.count_nonzero(v > eps, axis=0)
-        neg = np.count_nonzero(v < -eps, axis=0)
-        counts[lo:hi] = np.stack([d - pos - neg, pos, neg], axis=1)
-    # distance 0 is exactly the boundary
-    bmf = hist[:, 0].copy()
 
     return LocalizationReport(
-        level=mesh.level, eps=eps, eigenvalues=spec.eigenvalues.copy(),
-        boundary_mass_fraction=bmf, distance_histogram=hist,
-        contour_counts=counts)
+        level=mesh.level, eigenvalues=spec.eigenvalues.copy(),
+        boundary_mass_fraction=hist[:, 0].copy(), distance_histogram=hist)
 
 
 @dataclass(frozen=True)

@@ -299,7 +299,7 @@ def _cmd_localize(cfg: RunConfig, p: Pipeline) -> None:
         raise CLIUsageError(
             f"index {index} exceeds spectrum size {mesh.num_vertices}")
     spec = p.spectrum("full")
-    report = localization_report(spec, mesh, eps=cfg.eps)
+    report = localization_report(spec, mesh)
     out = _outdir(cfg)
     fileio.write_localization_csv(report, out / "localization.csv")
     fileio.write_contour_csv(mesh, spec.eigenvectors[:, index - 1], cfg.eps,
@@ -307,6 +307,17 @@ def _cmd_localize(cfg: RunConfig, p: Pipeline) -> None:
     bmf = report.boundary_mass_fraction
     print(f"localization level={cfg.level} modes={spec.count} "
           f"contour_index={index} bmf_last={float(bmf[-1])!r}")
+
+
+def _finite_energies(compute, *args, **kwargs):
+    """compute(*args, **kwargs) with NumPy's overflow warnings off;
+    NumericalError if an energy it returns is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = compute(*args, **kwargs)
+    if not np.all(np.isfinite(energies)):
+        raise NumericalError(f"energies {energies} are not all finite: "
+                             f"c0 * 4**level or the data is too large")
+    return energies
 
 
 def _cmd_extend(cfg: RunConfig, p: Pipeline) -> None:
@@ -319,7 +330,7 @@ def _cmd_extend(cfg: RunConfig, p: Pipeline) -> None:
     else:
         values = random_boundary_data(mesh, seed=cfg.seed).values
     u = harmonic_extend(mesh, values)
-    e_int, e_bd = energy_split(mesh, u, cfg.c0)
+    e_int, e_bd = _finite_energies(energy_split, mesh, u, cfg.c0)
     profile = decay_profile(mesh, u)
     out = _outdir(cfg)
     fileio.write_boundary_csv(values, out / "boundary.csv")
@@ -337,8 +348,8 @@ def _cmd_extend(cfg: RunConfig, p: Pipeline) -> None:
 
 def _cmd_energy_seq(cfg: RunConfig, p: Pipeline) -> None:
     n_max = cfg.n_max if cfg.n_max is not None else cfg.level
-    values = energy_sequence(FUNCTIONS[cfg.function], n_max, c0=cfg.c0,
-                             part=cfg.part)
+    values = _finite_energies(energy_sequence, FUNCTIONS[cfg.function],
+                              n_max, c0=cfg.c0, part=cfg.part)
     out = _outdir(cfg)
     fileio.write_energy_csv(values, out / "energy_seq.csv")
     tail = ", ".join(repr(v) for v in values[-3:])

@@ -150,12 +150,16 @@ def _spectrum(op: OperatorBundle, solved: list, window: slice,
     that order.  Each kept block eigenvector y goes through
     phi = M^-1/2 Q y, m-normalization, the sign rule and the residual
     check with a chunk of its row's columns, and is written once, into its
-    sorted column.  Both checks fail on a NaN, so a NaN eigenvalue or
-    residual raises NumericalError.
+    sorted column.  A non-finite eigenvalue raises NumericalError, and so
+    does a NaN column, at the residual check and without a NumPy warning.
     """
     w_all = np.concatenate([w for _, _, w, _ in solved])
     order = np.argsort(w_all, kind="stable")[window]
     w = w_all[order]
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise NumericalError(f"{bad.size} eigenvalues are not finite; "
+                             f"first at pair {bad[0]}: {w[bad[0]]}")
     scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
     neg_tol = RESIDUAL_TOL * scale
     if not np.all(w >= -neg_tol):
@@ -172,25 +176,26 @@ def _spectrum(op: OperatorBundle, solved: list, window: slice,
     residuals = np.empty(len(order))
     width = chunk_columns(op.dimension)
     lo = 0
-    for _, Q, wb, Y in solved:
-        col = column[lo:lo + len(wb)]
-        lo += len(wb)
-        kept = np.flatnonzero(col >= 0)
-        for a in range(0, len(kept), width):
-            part = kept[a:a + width]
-            cols = col[part]
-            # column-major, so the norm below sums each column contiguously
-            P = np.multiply(d_back[:, None], Q @ Y[:, part], order="F")
-            # back-transform preserves the m-norm of unit vectors;
-            # renormalize to absorb roundoff
-            P /= np.sqrt(np.sum(m[:, None] * P * P, axis=0))
-            A = np.abs(P)
-            lead = np.argmax(A >= (A.max(axis=0) - SIGN_TIE_TOL), axis=0)
-            P *= np.where(P[lead, np.arange(len(part))] < 0.0, -1.0, 1.0)
-            # column-major: a max down a few row-major columns is slow
-            R = np.subtract(S @ P, (m[:, None] * P) * w[cols], order="F")
-            residuals[cols] = np.max(np.abs(R), axis=0)
-            Phi[:, cols] = P
+    with np.errstate(invalid="ignore"):
+        for _, Q, wb, Y in solved:
+            col = column[lo:lo + len(wb)]
+            lo += len(wb)
+            kept = np.flatnonzero(col >= 0)
+            for a in range(0, len(kept), width):
+                part = kept[a:a + width]
+                cols = col[part]
+                # column-major, so the norm below sums each column contiguously
+                P = np.multiply(d_back[:, None], Q @ Y[:, part], order="F")
+                # back-transform preserves the m-norm of unit vectors;
+                # renormalize to absorb roundoff
+                P /= np.sqrt(np.sum(m[:, None] * P * P, axis=0))
+                A = np.abs(P)
+                lead = np.argmax(A >= (A.max(axis=0) - SIGN_TIE_TOL), axis=0)
+                P *= np.where(P[lead, np.arange(len(part))] < 0.0, -1.0, 1.0)
+                # column-major: a max down a few row-major columns is slow
+                R = np.subtract(S @ P, (m[:, None] * P) * w[cols], order="F")
+                residuals[cols] = np.max(np.abs(R), axis=0)
+                Phi[:, cols] = P
 
     bound = RESIDUAL_TOL * np.maximum(1.0, w)
     bad = np.flatnonzero(~(residuals <= bound))

@@ -198,7 +198,6 @@ def test_localization_report(spec2_full, mesh2):
     assert bmf.shape == (k,)
     assert np.all((bmf >= 0) & (bmf <= 1 + 1e-12))
     assert np.allclose(rep.distance_histogram.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(rep.contour_counts.sum(axis=1) == mesh2.num_vertices)
     # constant mode: bmf equals the boundary share of total mass
     m_b = 48 / 16.0
     m_i = 37 / 81.0
@@ -209,30 +208,23 @@ def test_localization_blocks_bit_identical(spec2_full, mesh2, chunk_width):
     whole = localization_report(spec2_full, mesh2)
     chunk_width(7, spec2_full.dimension)
     parts = localization_report(spec2_full, mesh2)
-    for field in ("boundary_mass_fraction", "distance_histogram",
-                  "contour_counts"):
+    for field in ("boundary_mass_fraction", "distance_histogram"):
         assert np.array_equal(getattr(whole, field), getattr(parts, field))
 
 
-def per_column_localization(spec, mesh, eps=0.01):
-    """Reference: histograms by one np.bincount and contour counts by one
-    count per eigenvector, as the report was first computed."""
+def per_column_localization(spec, mesh):
+    """Reference: histograms by one np.bincount per eigenvector, as the
+    report was first computed."""
     n = mesh.level
     m = np.where(mesh.boundary_flags, 1.0 / (4 ** n), 1.0 / (9 ** n))
     dist = boundary_hop_distance(mesh)
     nd = int(dist.max()) + 1
     Phi = np.asfortranarray(spec.eigenvectors)
     hist = np.empty((spec.count, nd))
-    counts = np.empty((spec.count, 3), dtype=np.int64)
     for j in range(spec.count):
         mass = m * Phi[:, j] * Phi[:, j]
         hist[j] = np.bincount(dist, weights=mass, minlength=nd) / mass.sum()
-        peak = np.max(np.abs(Phi[:, j]))
-        v = Phi[:, j] / peak if peak > 0 else Phi[:, j]
-        pos = int(np.count_nonzero(v > eps))
-        neg = int(np.count_nonzero(v < -eps))
-        counts[j] = (len(v) - pos - neg, pos, neg)
-    return hist, counts
+    return hist
 
 
 def test_localization_matches_per_column(spec2_full, mesh2, mesh3, spec4_full,
@@ -241,9 +233,8 @@ def test_localization_matches_per_column(spec2_full, mesh2, mesh3, spec4_full,
     for spec, mesh in ((spec2_full, mesh2), (spec3, mesh3),
                        (spec4_full, mesh4)):
         rep = localization_report(spec, mesh)
-        hist, counts = per_column_localization(spec, mesh)
+        hist = per_column_localization(spec, mesh)
         assert rep.distance_histogram.tobytes() == hist.tobytes()
-        assert np.array_equal(rep.contour_counts, counts)
         assert np.array_equal(rep.boundary_mass_fraction, hist[:, 0])
 
 

@@ -299,6 +299,43 @@ def test_eig_nonfinite_operator(capsys, tmp_path, solver):
     assert not (tmp_path / "e").exists()
 
 
+def test_eig_nonfinite_eigenvalue(capsys, tmp_path):
+    # at level 1 the dense solve returns NaN and inf eigenvalues: the error
+    # calls them non-finite, not a failed PSD test
+    code, out, err = run(capsys, "eig", "--level", "1", "--c0", "1e308",
+                         "--out", str(tmp_path / "e"))
+    assert (code, out) == (4, "")
+    assert err.startswith("error:numerical:10 eigenvalues are not finite;")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("extend", "--level", "2"),
+    ("extend", "--level", "0"),
+    ("energy-seq", "--level", "2"),
+    ("energy-seq", "--level", "2", "--function", "one"),
+], ids=["extend", "extend-level0", "energy-seq", "energy-seq-constant"])
+def test_nonfinite_energy(capsys, tmp_path, argv):
+    # c0 * 4**level overflows: an energy of inf (or NaN, for a zero
+    # difference across an infinite conductance) is one numerical error,
+    # before the stage writes anything
+    code, out, err = run(capsys, *argv, "--c0", "1e308",
+                         "--out", str(tmp_path / "e"))
+    assert (code, out) == (4, "")
+    assert err.startswith("error:numerical:energies ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "e").exists()
+
+
+def test_interior_energy_ignores_c0_overflow(capsys, tmp_path):
+    # the interior energies take no c0, so they stay finite and are written
+    code, _, _ = run(capsys, "energy-seq", "--level", "2", "--c0", "1e308",
+                     "--part", "interior", "--out", str(tmp_path / "e"))
+    assert code == 0
+    assert (tmp_path / "e" / "energy_seq.csv").exists()
+
+
 def test_exit_code_bad_args(capsys, tmp_path):
     code, _, err = run(capsys, "eig", "--level", "1", "--c0", "-2",
                        "--out", str(tmp_path / "b"))

@@ -14,7 +14,7 @@ from snowlab.extension import (
     harmonic_extend,
     random_boundary_data,
 )
-from snowlab.lattice import boundary_cycle, build_mesh
+from snowlab.lattice import boundary_cycle, boundary_hop_distance, build_mesh
 from snowlab.operators import apply, assemble, energy
 from snowlab.solver import NumericalError
 
@@ -157,6 +157,35 @@ def test_alternating_decay_profile(mesh3):
     assert dists[0] == 1
     sups = [s for _, s in profile]
     assert sups[0] > sups[1] > sups[2]
+
+
+def per_shell_decay_profile(mesh, u):
+    """Reference: one masked max per hop shell, skipping empty shells, as
+    decay_profile was first computed."""
+    dist = boundary_hop_distance(mesh)
+    out = []
+    for d in range(1, int(dist.max()) + 1):
+        shell = dist == d
+        if shell.any():
+            out.append((d, float(np.max(np.abs(u[shell])))))
+    return out
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_decay_profile_matches_per_shell(level):
+    mesh = build_mesh(level)
+    rng = np.random.default_rng(level)
+    noisy = rng.standard_normal(mesh.num_vertices)
+    holed = noisy.copy()
+    holed[mesh.interior_vertices[-1] if level else 0] = np.nan
+    for u in (harmonic_extend(mesh, alternating_boundary_data(mesh)), noisy,
+              holed):
+        want = per_shell_decay_profile(mesh, u)
+        # repr, so a NaN sup compares equal to a NaN sup
+        assert repr(decay_profile(mesh, u)) == repr(want)
+    assert (want == []) == (level == 0)
+    if level:
+        assert np.isnan([s for _, s in want]).sum() == 1
 
 
 def test_level0_extension():
