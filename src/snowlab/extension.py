@@ -1,12 +1,13 @@
 """Discretely harmonic extension of boundary data and its diagnostics.
 
-The extension of f solves the interior block of the stiffness system,
-S_II u_I = -S_IB f, so (L u)(p) = 0 at every interior vertex p; both
-blocks are built from the edges at interior vertices alone
-(operators.interior_blocks).  Edges incident to an interior vertex are
-always interior edges (boundary edges join two boundary vertices), so the
-extension does not depend on the boundary coupling c0 and takes none; the
-energy bookkeeping around it (energy_split) does.
+The extension of f solves the interior rows of the stiffness system S of
+the full operator, S_II u_I = -S_IB f, so (L u)(p) = 0 at every interior
+vertex p; S_II and S_IB are those rows in the interior and the boundary
+columns.  Edges incident to an interior vertex are always interior edges
+(boundary edges join two boundary vertices), so the rows hold the exact
+integers -2 and 2 * degree whatever the boundary coupling c0 is: the
+extension takes no c0, and the energy bookkeeping around it (energy_split)
+does.
 
 The interior block is positive definite, so the extension exists and is
 unique, is linear in f, satisfies the discrete maximum principle (each
@@ -41,7 +42,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .lattice import Mesh, _lex_keys, boundary_cycle, boundary_hop_distance
-from .operators import _edge_energies, interior_blocks
+from .operators import _checked, _edge_energies, _stiffness, edge_conductances
 from .solver import NumericalError
 
 # between the level-4 (4,789) and level-5 (45,397) interior counts
@@ -188,8 +189,12 @@ def harmonic_extend(mesh: Mesh, f) -> np.ndarray:
     if len(iidx) == 0:
         return u
 
-    S_II, S_IB = interior_blocks(mesh)
-    rhs = -(S_IB @ vals)
+    # the interior rows of S (no boundary edge meets them, so any c0 gives
+    # these); u is zero inside, so rows @ u sums the boundary columns, S_IB f
+    rows = _stiffness(mesh.num_vertices, mesh.edges,
+                      edge_conductances(mesh))[iidx]
+    S_II = rows[:, iidx]
+    rhs = -(rows @ u)
 
     if len(iidx) <= DIRECT_SOLVE_LIMIT:
         # S_II is symmetric, so its transpose is a CSC view of S_II itself
@@ -215,10 +220,11 @@ def harmonic_extend(mesh: Mesh, f) -> np.ndarray:
 def energy_split(mesh: Mesh, u: np.ndarray, c0: float = 1.0
                  ) -> tuple[float, float]:
     """(interior-edge energy, boundary-edge energy); the two sum to the
-    graph energy of u."""
-    e = _edge_energies(mesh, u, c0)
+    graph energy of u.  NumericalError if one is not finite."""
     b = mesh.edge_is_boundary
-    return float(np.sum(e[~b])), float(np.sum(e[b]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _edge_energies(mesh, u, c0)
+        return _checked((float(np.sum(e[~b])), float(np.sum(e[b]))))
 
 
 def decay_profile(mesh: Mesh, u: np.ndarray) -> list[tuple[int, float]]:

@@ -16,9 +16,7 @@ semidefinite; eigenvalues are reported nonnegative.
 
 Each operator kind is the rows and columns of S at its vertices, with S
 built once from the kind's edges (so a kept vertex's diagonal counts all its
-edges, edges to dropped vertices included).  The interior blocks S_II, S_IB
-that the harmonic extension solves with are the interior rows of the full S,
-split into the interior and the boundary columns.  The kinds:
+edges, edges to dropped vertices included).  The kinds:
   full       all vertices, all edges;
   dirichlet  interior vertices, all edges: the full S and m with boundary
              rows and columns deleted (zero boundary conditions);
@@ -113,21 +111,6 @@ def _stiffness(n: int, edges: np.ndarray, c: np.ndarray) -> sparse.csr_matrix:
         shape=(n, n)).tocsr()
 
 
-def interior_blocks(mesh: Mesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """(S_II, S_IB): the interior rows of the stiffness matrix S, split into
-    the interior columns and the boundary columns (ascending vertex order
-    within each).
-
-    Every edge at an interior vertex has conductance 1 (boundary edges join
-    two boundary vertices), so neither block depends on c0, and the entries
-    are the exact integers -2 and 2 * degree.
-    """
-    iidx = mesh.interior_vertices
-    rows = _stiffness(mesh.num_vertices, mesh.edges,
-                      edge_conductances(mesh))[iidx]
-    return rows[:, iidx], rows[:, mesh.boundary_vertices]
-
-
 def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
     """Assemble the stiffness/mass pair for the requested operator kind:
     the rows and columns of S (built from the kind's edges) and the entries
@@ -160,7 +143,8 @@ def apply(op: OperatorBundle, u: np.ndarray) -> np.ndarray:
 
 
 def _edge_energies(mesh: Mesh, u: np.ndarray, c0: float = 1.0) -> np.ndarray:
-    """c(p, q) (u(p) - u(q))^2 per edge, aligned with mesh.edges."""
+    """c(p, q) (u(p) - u(q))^2 per edge, aligned with mesh.edges; inf or NaN
+    where c0 * 4**n or the data overflows, which callers check (_checked)."""
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.num_vertices,):
         raise ValueError(
@@ -170,9 +154,20 @@ def _edge_energies(mesh: Mesh, u: np.ndarray, c0: float = 1.0) -> np.ndarray:
     return c * d * d
 
 
+def _checked(energies):
+    """energies, or NumericalError if one of them is not finite."""
+    if not np.all(np.isfinite(energies)):
+        from .solver import NumericalError  # solver imports this module
+        raise NumericalError(f"energies {energies} are not all finite: "
+                             f"c0 * 4**level or the data is too large")
+    return energies
+
+
 def energy(mesh: Mesh, u: np.ndarray, c0: float = 1.0) -> float:
-    """Graph energy E_n(u) over unordered adjacent pairs."""
-    return float(np.sum(_edge_energies(mesh, u, c0)))
+    """Graph energy E_n(u) over unordered adjacent pairs; NumericalError if
+    it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _checked(float(np.sum(_edge_energies(mesh, u, c0))))
 
 
 ENERGY_PARTS = ("total", "interior", "boundary")
@@ -186,7 +181,7 @@ def energy_sequence(f: Callable[[float, float], float], n_max: int,
     Dirichlet integral of f over the snowflake domain, while the boundary
     part converges only when the boundary restriction has finite boundary
     energy (constants do; generic smooth traces need not).  `part` selects
-    which piece to report.
+    which piece to report.  NumericalError if a value is not finite.
     """
     if part not in ENERGY_PARTS:
         raise ValueError(f"part must be one of {ENERGY_PARTS}, got {part!r}")
@@ -194,8 +189,10 @@ def energy_sequence(f: Callable[[float, float], float], n_max: int,
     for n in range(n_max + 1):
         mesh = build_mesh(n)
         xy = cartesian_coordinates(mesh)
-        e = _edge_energies(mesh, [f(x, y) for x, y in xy], c0)
-        if part != "total":
-            e = e[mesh.edge_is_boundary == (part == "boundary")]
-        out.append(float(np.sum(e)))
-    return out
+        u = [f(x, y) for x, y in xy]
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = _edge_energies(mesh, u, c0)
+            if part != "total":
+                e = e[mesh.edge_is_boundary == (part == "boundary")]
+            out.append(float(np.sum(e)))
+    return _checked(out)

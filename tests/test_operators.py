@@ -1,10 +1,17 @@
 import functools
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+from snowlab.extension import (
+    energy_split,
+    harmonic_extend,
+    random_boundary_data,
+)
 from snowlab.lattice import Mesh, build_mesh
 from snowlab.operators import (
     KINDS,
@@ -15,8 +22,8 @@ from snowlab.operators import (
     edge_conductances,
     energy,
     energy_sequence,
-    interior_blocks,
 )
+from snowlab.solver import NumericalError
 
 
 def conductance(mesh: Mesh, p: int, q: int, c0: float = 1.0) -> float:
@@ -130,22 +137,6 @@ def test_dirichlet_is_full_restriction(mesh2):
     assert np.array_equal(dirich, full[np.ix_(keep, keep)])
 
 
-@pytest.mark.parametrize("level", range(6))
-def test_interior_blocks_are_slices_of_full(level):
-    mesh = build_mesh(level)
-    S = assemble(mesh, "full", c0=2.5).S
-    rows = S[mesh.interior_vertices]
-    S_II, S_IB = interior_blocks(mesh)
-    for got, cols in ((S_II, mesh.interior_vertices),
-                      (S_IB, mesh.boundary_vertices)):
-        want = rows[:, cols]
-        want.sort_indices()
-        assert got.shape == want.shape and got.has_canonical_format
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 def _reference_symmetric_csr(n: int, i: np.ndarray, j: np.ndarray,
                              off: np.ndarray, diag: np.ndarray
                              ) -> sp.csr_matrix:
@@ -174,7 +165,7 @@ def reference_stiffness(num_vertices: int, edges: np.ndarray,
 def reference_interior_blocks(mesh: Mesh) -> tuple[sp.csr_matrix,
                                                    sp.csr_matrix]:
     """(S_II, S_IB) from integer degree counts at the interior vertices:
-    the reference for interior_blocks and the dirichlet kind."""
+    the reference for the dirichlet kind and the extension's system."""
     flags = mesh.boundary_flags
     nb = int(np.count_nonzero(flags))
     n = len(flags) - nb
@@ -244,9 +235,31 @@ def test_assembly_matches_reference(level, c0):
         assert_same_csr(op.S, want.pop("S"))
         for name, arr in want.items():
             assert_same_bytes(getattr(op, name), arr)
-    for got, want in zip(interior_blocks(mesh),
-                         reference_interior_blocks(mesh)):
-        assert_same_csr(got, want)
+
+
+# no boundary edge meets an interior vertex, so the dirichlet kind is the
+# interior block of S for every c0, even one whose boundary conductance
+# overflows; that is why the extension takes no c0
+@pytest.mark.parametrize("level, c0", itertools.product(
+    range(1, 7), (1.0, 0.37, 3.0, 1e308)))
+def test_dirichlet_kind_is_interior_block(level, c0):
+    mesh = cached_mesh(level)
+    assert_same_csr(assemble(mesh, "dirichlet", c0).S,
+                    reference_interior_blocks(mesh)[0])
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_extension_solves_reference_system(level):
+    # levels 0-4 factorize S_II, so the bytes are those of the same splu
+    # solve on the reference blocks
+    mesh = cached_mesh(level)
+    f = random_boundary_data(mesh, seed=level).values
+    S_II, S_IB = reference_interior_blocks(mesh)
+    want = np.zeros(mesh.num_vertices)
+    want[mesh.boundary_vertices] = f
+    if S_II.shape[0]:
+        want[mesh.interior_vertices] = splu(S_II.T).solve(-(S_IB @ f))
+    assert_same_bytes(harmonic_extend(mesh, f), want)
 
 
 def test_boundary_kind_edges(mesh2):
@@ -343,3 +356,25 @@ def test_energy_sequence_linear_interior_converges():
 def test_energy_sequence_part_validation():
     with pytest.raises(ValueError):
         energy_sequence(lambda x, y: x, 1, part="bogus")
+
+
+# c0 * 4**n overflows to an infinite boundary conductance: the energy is inf,
+# or NaN where the difference across that edge is zero
+@pytest.mark.parametrize("compute", [
+    lambda: energy(cached_mesh(1), np.arange(13.0), 1e308),
+    lambda: energy_split(cached_mesh(1), np.arange(13.0), 1e308),
+    lambda: energy_sequence(lambda x, y: 1.0, 2, c0=1e308),
+], ids=["energy", "energy_split", "energy_sequence"])
+def test_nonfinite_energy_raises(compute):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^energies .* not all finite"):
+            compute()
+
+
+def test_interior_energy_sequence_ignores_c0_overflow():
+    # y is constant along some boundary edges, where the total is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = energy_sequence(lambda x, y: y, 3, c0=1e308, part="interior")
+    assert got == energy_sequence(lambda x, y: y, 3, part="interior")
