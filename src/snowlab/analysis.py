@@ -37,34 +37,62 @@ MIN_REGIME_POINTS = 10
 BURN_IN = 20  # leading eigenvalues left out of the log-log slope fits
 
 
-def _segment_slope(x: np.ndarray, y: np.ndarray, what: str) -> float:
-    if len(x) < MIN_REGIME_POINTS:
-        raise AnalysisError(
-            f"fewer than {MIN_REGIME_POINTS} points in {what} regime "
-            f"(got {len(x)})")
-    if np.ptp(x) < 1e-12:
-        raise AnalysisError(
-            f"degenerate {what} regime: zero spread in log eigenvalues")
-    return float(np.polyfit(x, y, 1)[0])
+def _line_sums(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Prefix sums of x, y, x², xy and y², one row each with a leading 0,
+    so a sum over points i..j-1 is the difference of columns j and i."""
+    sums = np.zeros((5, len(x) + 1))
+    np.cumsum([x, y, x * x, x * y, y * y], axis=1, out=sums[:, 1:])
+    return sums
+
+
+def _centred_sums(sums: np.ndarray, i, j):
+    """Centred xx, xy and yy sums of points i..j-1 (i, j may be arrays)."""
+    sx, sy, sxx, sxy, syy = sums
+    k = j - i
+    dx, dy = sx[j] - sx[i], sy[j] - sy[i]
+    vx = (sxx[j] - sxx[i]) - dx ** 2 / k
+    cxy = (sxy[j] - sxy[i]) - dx * dy / k
+    vy = (syy[j] - syy[i]) - dy ** 2 / k
+    return vx, cxy, vy
+
+
+def _sse(sums: np.ndarray, i, j):
+    """Least-squares residual of points i..j-1 (i, j may be arrays)."""
+    vx, cxy, vy = _centred_sums(sums, i, j)
+    return np.maximum(vy - cxy * cxy / np.where(vx > 0, vx, np.inf), 0.0)
+
+
+def _slope(sums: np.ndarray, i: int, j: int) -> float:
+    """Least-squares slope of points i..j-1; NaN when x does not vary."""
+    vx, cxy, _ = _centred_sums(sums, i, j)
+    return float(cxy / vx) if vx > 0 else float("nan")
 
 
 def loglog_slopes(spec: Spectrum, threshold: float) -> tuple[float, float]:
     """Least-squares slopes of log N(lambda) vs log lambda below and above
-    the threshold, excluding lambda = 0 and the first BURN_IN positive
-    eigenvalues.
-    """
+    the threshold, from the kink fit's prefix sums (`_line_sums`), excluding
+    lambda = 0 and the first BURN_IN positive eigenvalues."""
     w = spec.eigenvalues
     rank = np.arange(1, len(w) + 1, dtype=float)  # N at each eigenvalue
     pos = w > 0
-    w, rank = w[pos], rank[pos]
-    w, rank = w[BURN_IN:], rank[BURN_IN:]
+    w, rank = w[pos][BURN_IN:], rank[pos][BURN_IN:]
     if len(w) == 0:
         raise AnalysisError("no positive eigenvalues past burn-in")
-    x, y = np.log(w), np.log(rank)
-    low = w <= threshold
-    low_slope = _segment_slope(x[low], y[low], "low")
-    high_slope = _segment_slope(x[~low], y[~low], "high")
-    return low_slope, high_slope
+    x = np.log(w)
+    sums = _line_sums(x, np.log(rank))
+    split = int(np.count_nonzero(w <= threshold))  # w ascends
+
+    def segment_slope(i, j, what):
+        if j - i < MIN_REGIME_POINTS:
+            raise AnalysisError(
+                f"fewer than {MIN_REGIME_POINTS} points in {what} regime "
+                f"(got {j - i})")
+        if np.ptp(x[i:j]) < 1e-12:
+            raise AnalysisError(
+                f"degenerate {what} regime: zero spread in log eigenvalues")
+        return _slope(sums, i, j)
+
+    return segment_slope(0, split, "low"), segment_slope(split, len(x), "high")
 
 
 @dataclass(frozen=True)
@@ -96,8 +124,8 @@ def _two_segment_kink(w: np.ndarray) -> tuple[float, int, float, float]:
     """Best split of the log-log counting curve into two LS segments.
 
     Returns (kink lambda, 1-based kink rank, low slope, high slope); the
-    kink point is the first point of the upper segment.  O(N) via prefix
-    sums.
+    kink point is the first point of the upper segment.  O(N) via the
+    prefix sums of `_line_sums`.
     """
     rank = np.arange(1, len(w) + 1, dtype=float)
     pos = w > 0
@@ -106,42 +134,16 @@ def _two_segment_kink(w: np.ndarray) -> tuple[float, int, float, float]:
     if n < 2 * MIN_REGIME_POINTS:
         raise AnalysisError("too few positive eigenvalues for a kink fit")
 
-    def prefix(a):
-        out = np.zeros(n + 1)
-        np.cumsum(a, out=out[1:])
-        return out
-
-    sx, sy = prefix(x), prefix(y)
-    sxx, sxy, syy = prefix(x * x), prefix(x * y), prefix(y * y)
-
-    def centred(i, j):
-        # centred xx and xy sums of points i..j-1 (vectorized over arrays)
-        k = j - i
-        vx = (sxx[j] - sxx[i]) - (sx[j] - sx[i]) ** 2 / k
-        cxy = (sxy[j] - sxy[i]) - (sx[j] - sx[i]) * (sy[j] - sy[i]) / k
-        return vx, cxy
-
-    def sse(i, j):
-        # least-squares residual of points i..j-1
-        vx, cxy = centred(i, j)
-        vy = (syy[j] - syy[i]) - (sy[j] - sy[i]) ** 2 / (j - i)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = vy - np.where(vx > 0, cxy * cxy / np.where(vx > 0, vx, 1.0),
-                                0.0)
-        return np.maximum(out, 0.0)
-
+    sums = _line_sums(x, y)
     splits = np.arange(MIN_REGIME_POINTS, n - MIN_REGIME_POINTS + 1)
-    total = sse(np.zeros_like(splits), splits) + sse(splits,
-                                                     np.full_like(splits, n))
+    total = (_sse(sums, np.zeros_like(splits), splits)
+             + _sse(sums, splits, np.full_like(splits, n)))
     s = int(splits[np.argmin(total)])
-
-    def slope(i, j):
-        vx, cxy = centred(i, j)
-        return float(cxy / vx) if vx > 0 else float("nan")
 
     pos_idx = np.flatnonzero(pos)
     kink_pos = int(pos_idx[s])  # first point of the upper segment
-    return float(w[kink_pos]), kink_pos + 1, slope(0, s), slope(s, n)
+    return (float(w[kink_pos]), kink_pos + 1, _slope(sums, 0, s),
+            _slope(sums, s, n))
 
 
 def regime_threshold(specL: Spectrum, specLd: Spectrum) -> RegimeReport:
@@ -197,15 +199,13 @@ def multiplicity_groups(spec: Spectrum,
     if not rel_tol > 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     w = spec.eigenvalues
-    groups = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or abs(w[i] - w[i - 1]) > rel_tol * max(1.0, abs(w[i - 1])):
-            groups.append(MultiplicityGroup(
-                start=start + 1, size=i - start,
-                value=float(np.mean(w[start:i]))))
-            start = i
-    return groups
+    if len(w) == 0:
+        return []
+    gap = np.abs(np.diff(w)) > rel_tol * np.maximum(1.0, np.abs(w[:-1]))
+    bounds = np.flatnonzero(np.concatenate(([True], gap, [True]))).tolist()
+    return [MultiplicityGroup(start=a + 1, size=b - a,
+                              value=float(np.mean(w[a:b])))
+            for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass(frozen=True)

@@ -272,22 +272,16 @@ def boundary_cycle(mesh: Mesh) -> np.ndarray:
 def boundary_hop_distance(mesh: Mesh) -> np.ndarray:
     """Graph hop distance from each vertex to the nearest boundary vertex.
 
-    One unweighted shortest-path search over mesh edges from a virtual
-    source joined to every boundary vertex; purely combinatorial.
-    Vertices that no boundary vertex reaches get -1.
+    One unweighted shortest-path search over mesh edges, started from
+    every boundary vertex at once; purely combinatorial.  Vertices that no
+    boundary vertex reaches get -1.
     """
-    src = mesh.num_vertices
-    bv = mesh.boundary_vertices
-    i = np.concatenate((mesh.edges[:, 0], np.full(len(bv), src)))
-    j = np.concatenate((mesh.edges[:, 1], bv))
-    graph = sparse.csr_matrix((np.ones(len(i), dtype=np.int8), (i, j)),
-                              shape=(src + 1, src + 1))
-    hops = csgraph.shortest_path(graph, method="D", directed=False,
-                                 unweighted=True, indices=src)[:src]
-    dist = np.full(src, -1, dtype=np.int64)
-    reached = np.isfinite(hops)
-    dist[reached] = hops[reached].astype(np.int64) - 1
-    return dist
+    n = mesh.num_vertices
+    graph = sparse.csr_matrix((np.ones(len(mesh.edges), dtype=np.int8),
+                               mesh.edges.T), shape=(n, n))
+    hops = csgraph.dijkstra(graph, directed=False, unweighted=True,
+                            indices=mesh.boundary_vertices, min_only=True)
+    return np.where(np.isfinite(hops), hops, -1).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -239,7 +239,7 @@ def _extremal_pairs(A: sparse.csr_matrix, count: int, which: str,
     SuperLU cannot factor (a non-finite entry) raises NumericalError."""
     b = A.shape[0]
     if count >= b - 1:
-        w, Y = scipy.linalg.eigh(A.toarray(), overwrite_a=True,
+        w, Y = scipy.linalg.eigh(A.toarray(order="F"), overwrite_a=True,
                                  check_finite=False)
         keep = slice(0, count) if which == "smallest" else slice(b - count, b)
         return w[keep], Y[:, keep], False

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snowlab.analysis import (
+    BURN_IN,
     CONTOUR_CLASSES,
     AnalysisError,
     contour_classes,
@@ -17,7 +20,7 @@ from snowlab.analysis import (
     pair_eigenvectors,
     regime_threshold,
 )
-from snowlab.analysis import BoundViolation, LandscapeVector
+from snowlab.analysis import BoundViolation, LandscapeVector, MultiplicityGroup
 from snowlab.lattice import boundary_hop_distance, build_mesh
 from snowlab.operators import assemble
 from snowlab.solver import Spectrum, eig_full
@@ -76,6 +79,47 @@ def test_loglog_slopes_two_regimes():
 def test_loglog_slopes_needs_points():
     with pytest.raises(AnalysisError):
         loglog_slopes(stub([1.0, 2.0, 3.0], complete=False), 2.0)
+
+
+@pytest.mark.parametrize("w, threshold, message", [
+    ([0.0] * 5 + [1.0] * 15, 1.0, "no positive eigenvalues past burn-in"),
+    (np.arange(1.0, 36.0), 30.0,
+     "fewer than 10 points in high regime (got 5)"),
+    (np.arange(1.0, 36.0), 25.0,
+     "fewer than 10 points in low regime (got 5)"),
+    (np.r_[np.linspace(0.1, 0.5, 20), [7.0] * 12, np.arange(8.0, 20.0)], 7.0,
+     "degenerate low regime: zero spread in log eigenvalues"),
+])
+def test_loglog_slopes_errors(w, threshold, message):
+    with pytest.raises(AnalysisError, match=re.escape(message)):
+        loglog_slopes(stub(w, complete=False), threshold)
+
+
+def polyfit_slopes(spec, threshold):
+    """Log-log slopes by one np.polyfit per side of the threshold."""
+    w = spec.eigenvalues
+    rank = np.arange(1, len(w) + 1, dtype=float)
+    pos = w > 0
+    w, rank = w[pos][BURN_IN:], rank[pos][BURN_IN:]
+    x, y = np.log(w), np.log(rank)
+    low = w <= threshold
+    return tuple(float(np.polyfit(x[side], y[side], 1)[0])
+                 for side in (low, ~low))
+
+
+@pytest.mark.parametrize("level", [3, 4, "staircase"])
+def test_loglog_slopes_match_polyfit(level, mesh3, spec4_full, spec4_dir):
+    if level == 3:
+        full, dirichlet = (eig_full(assemble(mesh3, kind))
+                           for kind in ("full", "dirichlet"))
+        spec, threshold = full, float(dirichlet.eigenvalues[-1])
+    elif level == 4:
+        spec, threshold = spec4_full, float(spec4_dir.eigenvalues[-1])
+    else:
+        spec, threshold = stub(_kinked_staircase(), complete=False), 600.0
+    got = loglog_slopes(spec, threshold)
+    want = polyfit_slopes(spec, threshold)
+    assert got == pytest.approx(want, rel=1e-9, abs=0)
 
 
 def test_regime_synthetic_kink():
@@ -147,6 +191,39 @@ def test_multiplicity_groups():
 def test_multiplicity_splits_distant_values():
     groups = multiplicity_groups(stub([1.0, 1.1, 1.2], complete=False))
     assert [g.size for g in groups] == [1, 1, 1]
+
+
+def loop_groups(spec, rel_tol=1e-6):
+    """Multiplicity groups by a scan over every consecutive pair."""
+    w = spec.eigenvalues
+    groups, start = [], 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or abs(w[i] - w[i - 1]) > rel_tol * max(
+                1.0, abs(w[i - 1])):
+            groups.append(MultiplicityGroup(
+                start=start + 1, size=i - start,
+                value=float(np.mean(w[start:i]))))
+            start = i
+    return groups
+
+
+def test_multiplicity_groups_empty():
+    assert multiplicity_groups(stub([], complete=False)) == []
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_multiplicity_groups_match_loop(level, spec4_full, spec4_dir):
+    if level == 4:
+        specs = (spec4_full, spec4_dir)
+    else:
+        mesh = build_mesh(level)
+        specs = [eig_full(assemble(mesh, kind))
+                 for kind in ("full", "dirichlet")]
+    for spec in specs:
+        assert multiplicity_groups(spec) == loop_groups(spec)
+    if level == 4:
+        big = [g for g in multiplicity_groups(spec4_dir) if g.size == 24]
+        assert [round(g.value / (16 * 9 ** 4), 6) for g in big] == [1.0]
 
 
 def test_pair_eigenvectors(spec2_full, spec2_dir, mesh2):

@@ -263,7 +263,7 @@ def test_hop_distance(mesh3):
     diff = np.abs(dist[mesh3.edges[:, 0]] - dist[mesh3.edges[:, 1]])
     assert diff.max() <= 1
     # exact distances against a plain BFS
-    for level in range(5):
+    for level in range(7):
         mesh = build_mesh(level)
         dist = boundary_hop_distance(mesh)
         assert dist.dtype == np.int64
