@@ -226,6 +226,8 @@ def pair_eigenvectors(specL: Spectrum, specLd: Spectrum, mesh: Mesh,
     similarity matrix, best first.  The published pairs are identified
     visually; this metric is this library's quantitative stand-in.
     """
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     def restrict(spec):
         rows = np.flatnonzero(np.isin(spec.vertex_map, mesh.interior_vertices))
         verts = spec.vertex_map[rows]
@@ -252,15 +254,11 @@ def pair_eigenvectors(specL: Spectrum, specLd: Spectrum, mesh: Mesh,
     G[~okA, :] = 0.0
     G[:, ~okB] = 0.0
 
-    top_k = min(top_k, G.size)
-    flat = np.argsort(G.ravel())[::-1][:top_k]
-    out = []
-    for f in flat:
-        a, b = np.unravel_index(f, G.shape)
-        out.append(PairMatch(
-            j=int(a) + 1, j_tilde=int(b) + 1, similarity=float(G[a, b]),
-            gap=float(abs(specL.eigenvalues[a] - specLd.eigenvalues[b]))))
-    return out
+    best = np.unravel_index(np.argsort(G.ravel())[::-1][:top_k], G.shape)
+    return [PairMatch(
+        j=int(a) + 1, j_tilde=int(b) + 1, similarity=float(G[a, b]),
+        gap=float(abs(specL.eigenvalues[a] - specLd.eigenvalues[b])))
+        for a, b in zip(*best)]
 
 
 CONTOUR_CLASSES = ("zero", "pos", "neg")
@@ -289,14 +287,16 @@ class LocalizationReport:
     """
 
     level: int
-    eigenvalues: np.ndarray            # (k,)
-    boundary_mass_fraction: np.ndarray  # (k,)
-    distance_histogram: np.ndarray     # (k, max_distance + 1)
+    eigenvalues: np.ndarray         # (k,)
+    distance_histogram: np.ndarray  # (k, max_distance + 1)
 
     def __post_init__(self):
-        for arr in (self.eigenvalues, self.boundary_mass_fraction,
-                    self.distance_histogram):
+        for arr in (self.eigenvalues, self.distance_histogram):
             arr.setflags(write=False)
+
+    @property
+    def boundary_mass_fraction(self) -> np.ndarray:  # (k,)
+        return self.distance_histogram[:, 0]
 
 
 def localization_report(spec: Spectrum, mesh: Mesh) -> LocalizationReport:
@@ -330,7 +330,7 @@ def localization_report(spec: Spectrum, mesh: Mesh) -> LocalizationReport:
 
     return LocalizationReport(
         level=mesh.level, eigenvalues=spec.eigenvalues.copy(),
-        boundary_mass_fraction=hist[:, 0].copy(), distance_histogram=hist)
+        distance_histogram=hist)
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,7 @@ def harmonic_extend(mesh: Mesh, f) -> np.ndarray:
             raise NumericalError(
                 f"conjugate gradients did not converge (info={info})")
 
-    scale = max(1.0, float(np.max(np.abs(rhs))) if len(rhs) else 1.0)
+    scale = max(1.0, float(np.max(np.abs(rhs))))
     resid = float(np.max(np.abs(S_II @ u_int - rhs)))
     if not resid <= 1e-9 * scale:
         raise NumericalError(

@@ -73,7 +73,9 @@ class OperatorBundle:
 
 
 def edge_conductances(mesh: Mesh, c0: float = 1.0) -> np.ndarray:
-    """Per-edge conductance array aligned with mesh.edges."""
+    """Per-edge conductances aligned with mesh.edges; needs 0 < c0 < inf."""
+    if not 0 < c0 < np.inf:
+        raise ValueError(f"c0 must be positive and finite, got {c0}")
     c = np.ones(len(mesh.edges))
     c[mesh.edge_is_boundary] = c0 * float(4 ** mesh.level)
     return c
@@ -117,8 +119,6 @@ def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
     of m at the kind's vertices."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if not 0 < c0 < np.inf:
-        raise ValueError(f"c0 must be positive and finite, got {c0}")
 
     vmap, edge_set = {
         "full": (np.arange(mesh.num_vertices), slice(None)),
@@ -185,6 +185,8 @@ def energy_sequence(f: Callable[[float, float], float], n_max: int,
     """
     if part not in ENERGY_PARTS:
         raise ValueError(f"part must be one of {ENERGY_PARTS}, got {part!r}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     out = []
     for n in range(n_max + 1):
         mesh = build_mesh(n)

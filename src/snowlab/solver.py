@@ -160,8 +160,7 @@ def _spectrum(op: OperatorBundle, solved: list, window: slice,
     if bad.size:
         raise NumericalError(f"{bad.size} eigenvalues are not finite; "
                              f"first at pair {bad[0]}: {w[bad[0]]}")
-    scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
-    neg_tol = RESIDUAL_TOL * scale
+    neg_tol = RESIDUAL_TOL * max(1.0, float(np.max(np.abs(w))))
     if not np.all(w >= -neg_tol):
         worst = float(np.min(w))
         raise NumericalError(

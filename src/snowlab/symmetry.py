@@ -153,24 +153,6 @@ def _basis(vals: np.ndarray, rows: np.ndarray, keep: np.ndarray,
     return sparse.csc_matrix((V[nz], R[nz], indptr), shape=(d, len(V)))
 
 
-def _column_norms(vals: np.ndarray) -> np.ndarray:
-    """(orbits, candidates) Euclidean norms.
-
-    The squares of each column's nonzero entries are summed in ascending
-    row order by `np.add.reduceat`, the reduction a scipy CSC column sum
-    performs, so the norms match a sparse-algebra construction bit for
-    bit.
-    """
-    flat = vals.transpose(1, 2, 0).reshape(-1, GROUP_ORDER)
-    nz = flat != 0
-    counts = np.count_nonzero(nz, axis=1)
-    sq = (flat * flat)[nz]
-    norm2 = np.zeros(len(flat))
-    filled = counts > 0
-    norm2[filled] = np.add.reduceat(sq, (np.cumsum(counts) - counts)[filled])
-    return np.sqrt(norm2).reshape(vals.shape[1:])
-
-
 def irrep_blocks(op: OperatorBundle) -> list[IrrepBlock]:
     """Symmetry-adapted orthonormal blocks in the fixed order A1, A2, B1,
     B2, E1, E2; a single identity block when D6 is not a symmetry.
@@ -215,7 +197,9 @@ def irrep_blocks(op: OperatorBundle) -> list[IrrepBlock]:
         dim = D.shape[1]
         # candidate j of irrep row i is cand[:, :, i, j]
         cand = cand.reshape(GROUP_ORDER, n_orb, dim, dim)
-        norms = _column_norms(cand[:, :, 0])
+        # bit-equal to a sum over each column's nonzeros: the sum adds the
+        # fresh squares slot by slot in ascending order, and zeros exactly
+        norms = np.sqrt(np.square(cand[:, :, 0]).sum(axis=0))
         # a free orbit carries all dim candidates (orthogonal by Schur);
         # on a smaller orbit they are parallel or vanish, so keep the
         # largest one if it does not vanish

@@ -249,6 +249,13 @@ def test_pair_eigenvectors_self_match(spec2_full, mesh2):
     assert pairs[0].gap == 0.0
 
 
+@pytest.mark.parametrize("top_k", [0, -1])
+def test_pair_eigenvectors_rejects_top_k_below_one(spec2_full, spec2_dir,
+                                                   mesh2, top_k):
+    with pytest.raises(ValueError, match="^top_k must be >= 1, got"):
+        pair_eigenvectors(spec2_full, spec2_dir, mesh2, top_k=top_k)
+
+
 def test_pair_eigenvectors_needs_interior_rows(spec2_full, mesh2):
     spec_bd = eig_full(assemble(mesh2, "boundary"))
     with pytest.raises(AnalysisError):

@@ -358,6 +358,26 @@ def test_energy_sequence_part_validation():
         energy_sequence(lambda x, y: x, 1, part="bogus")
 
 
+@pytest.mark.parametrize("n_max", [-1, -3])
+def test_energy_sequence_rejects_negative_n_max(n_max):
+    with pytest.raises(ValueError, match="^n_max must be >= 0, got"):
+        energy_sequence(lambda x, y: x, n_max)
+
+
+# the energies check c0 where it becomes a boundary conductance, as assemble
+# does: a negative c0 would give a negative energy, c0 = 0 no boundary part
+@pytest.mark.parametrize("c0", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("compute", [
+    lambda c0: energy(cached_mesh(2), np.arange(85.0), c0),
+    lambda c0: energy_split(cached_mesh(2), np.arange(85.0), c0),
+    lambda c0: energy_sequence(lambda x, y: x, 2, c0=c0),
+], ids=["energy", "energy_split", "energy_sequence"])
+def test_energy_rejects_bad_c0(compute, c0):
+    with pytest.raises(ValueError,
+                       match="^c0 must be positive and finite, got"):
+        compute(c0)
+
+
 # c0 * 4**n overflows to an infinite boundary conductance: the energy is inf,
 # or NaN where the difference across that edge is zero
 @pytest.mark.parametrize("compute", [
