@@ -23,6 +23,8 @@ orbit, and y_2j = P_21 y_1j is its partner in the second row of the same
 two-dimensional irrep.  Orbits have 12, 6 or 1 points (trivial, one
 reflection, or the whole group as stabilizer); the candidates that vanish
 on an orbit, or that repeat one another on a 6-point orbit, are dropped.
+Each vertex lies in one orbit, so its candidate entries form one column
+of a coefficient table, and each basis is read off it as a CSR matrix.
 Everything is built from integer lattice permutations: no geometric
 tolerance is involved.
 """
@@ -76,19 +78,20 @@ class IrrepBlock:
     For a two-dimensional irrep, `basis` spans the first row (the image of
     P_11), tagged `tag`, and `partner` = P_21 basis spans the second, tagged
     `tag + "'"`; the block matrix is the same on both, so one solve serves
-    the pair.
+    the pair.  Both are CSR: row v holds at most one entry for a
+    one-dimensional irrep and at most two for an E row.
     """
 
     tag: str
-    basis: sparse.csc_matrix                   # (d, b)
-    partner: sparse.csc_matrix | None = None   # (d, b)
+    basis: sparse.csr_matrix                   # (d, b)
+    partner: sparse.csr_matrix | None = None   # (d, b)
 
     @property
     def size(self) -> int:
         return self.basis.shape[1]
 
     @property
-    def rows(self) -> list[tuple[str, sparse.csc_matrix]]:
+    def rows(self) -> list[tuple[str, sparse.csr_matrix]]:
         """(tag, basis) of each irrep row: one, or two for an E block."""
         if self.partner is None:
             return [(self.tag, self.basis)]
@@ -134,80 +137,56 @@ def vertex_permutations(op: OperatorBundle) -> np.ndarray | None:
     return perms
 
 
-def _basis(vals: np.ndarray, rows: np.ndarray, keep: np.ndarray,
-           scale: np.ndarray, d: int) -> sparse.csc_matrix:
-    """CSC matrix whose columns are the kept candidates times `scale`.
-
-    vals[s, o, j] is candidate j of orbit o on the orbit's s-th point in
-    ascending row order, and rows[s, o] that row.  Each column lists its
-    nonzero entries from the highest row down.
-    """
-    n_orb, dim = vals.shape[1:]
-    # (column, entry) tables, entries from the last slot down
-    V = vals.transpose(1, 2, 0)[:, :, ::-1].reshape(-1, GROUP_ORDER)[keep]
-    V = V * scale[:, None]
-    R = np.broadcast_to(rows.T[:, None, ::-1], (n_orb, dim, GROUP_ORDER))
-    R = R.reshape(-1, GROUP_ORDER)[keep]
-    nz = V != 0
-    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(nz, axis=1))])
-    return sparse.csc_matrix((V[nz], R[nz], indptr), shape=(d, len(V)))
-
-
 def irrep_blocks(op: OperatorBundle) -> list[IrrepBlock]:
     """Symmetry-adapted orthonormal blocks in the fixed order A1, A2, B1,
     B2, E1, E2; a single identity block when D6 is not a symmetry.
 
     Blocks can be empty (A2 has no vector at level 1).  Columns are
     ordered by orbit (smallest row first) and, within an orbit, by j.
-    The CSC arrays are built directly from the orbit targets and the irrep
-    coefficients.
+    Row v of a basis is read off column v of one irrep coefficient table.
     """
     d = op.dimension
     perms = vertex_permutations(op)
     if perms is None:
-        return [IrrepBlock(TRIVIAL_TAG, sparse.identity(d, format="csc"))]
+        return [IrrepBlock(TRIVIAL_TAG, sparse.identity(d, format="csr"))]
 
-    targets = perms[:, np.unique(perms.min(axis=0))]
-    n_orb = targets.shape[1]
-    # each orbit's targets in ascending order; a repeated target (an orbit
-    # of 6 or 1 points) shares one slot, where its coefficients add up
-    order = np.argsort(targets, axis=0, kind="stable")
-    srt = np.take_along_axis(targets, order, axis=0)
-    step = np.diff(srt, axis=0) != 0
-    free = 1 + np.count_nonzero(step, axis=0) == GROUP_ORDER
-    slot = np.concatenate([np.zeros((1, n_orb), dtype=np.int64),
-                           np.cumsum(step, axis=0)])
-    orbit = np.arange(n_orb)
-    rows = np.zeros((GROUP_ORDER, n_orb), dtype=np.int64)
-    rows[slot, orbit] = srt
-
-    # summed[s, o, :] adds the entries D(g)_ij of every irrep over the g
-    # that map orbit o's representative p to its s-th point: the
-    # candidates y_ij = sum_g D(g)_ij e_{g p}, one column (irrep, i, j) each
-    coef = np.concatenate([D.reshape(GROUP_ORDER, -1)
-                           for D in IRREPS.values()], axis=1)[order]
-    summed = np.zeros((GROUP_ORDER, n_orb, coef.shape[2]))
-    for g in range(GROUP_ORDER):
-        summed[slot[g], orbit] += coef[g]
+    # each vertex's orbit, numbered by its smallest row, the representative p
+    reps, orbit = np.unique(perms.min(axis=0), return_inverse=True)
+    free = np.bincount(orbit) == GROUP_ORDER
+    # coef[c, v] adds column c = (irrep, i, j) of D(g) over the g that map
+    # v's representative to v: the candidate y_ij = sum_g D(g)_ij e_{g p}
+    # on v.  bincount adds in input order, and the input lists g ascending
+    C = np.concatenate([D.reshape(GROUP_ORDER, -1)
+                        for D in IRREPS.values()], axis=1)
+    hits = perms[:, reps].ravel()
+    coef = np.array([np.bincount(hits, np.repeat(c, len(reps)), d)
+                     for c in C.T])
 
     sizes = np.cumsum([D.shape[1] ** 2 for D in IRREPS.values()])[:-1]
     blocks = []
-    for (tag, D), cand in zip(IRREPS.items(),
-                              np.split(summed, sizes, axis=2)):
+    for (tag, D), cand in zip(IRREPS.items(), np.split(coef, sizes)):
         dim = D.shape[1]
-        # candidate j of irrep row i is cand[:, :, i, j]
-        cand = cand.reshape(GROUP_ORDER, n_orb, dim, dim)
-        # bit-equal to a sum over each column's nonzeros: the sum adds the
-        # fresh squares slot by slot in ascending order, and zeros exactly
-        norms = np.sqrt(np.square(cand[:, :, 0]).sum(axis=0))
+        # candidate j of irrep row i on vertex v is cand[i, j, v]
+        cand = cand.reshape(dim, dim, d)
+        # bincount adds each orbit's squares one by one in ascending row order
+        norms = np.sqrt([np.bincount(orbit, np.square(c)) for c in cand[0]]).T
         # a free orbit carries all dim candidates (orthogonal by Schur);
         # on a smaller orbit they are parallel or vanish, so keep the
         # largest one if it does not vanish
         first = np.arange(dim) == norms.argmax(axis=1)[:, None]
-        keep = (free[:, None] | (first & (norms > _NONZERO))).ravel()
-        scale = 1.0 / norms.ravel()[keep]
-        basis = [_basis(cand[:, :, i], rows, keep, scale, d)
-                 for i in range(dim)]
+        keep = free[:, None] | (first & (norms > _NONZERO))
+        scale = np.divide(1.0, norms, out=np.zeros(keep.shape), where=keep)
+        # row v lists its orbit's dim candidates; eliminate_zeros removes the
+        # ones that vanish on v and the dropped ones (scale 0, column clipped)
+        column = np.maximum(np.cumsum(keep) - 1, 0).reshape(keep.shape)
+        basis = []
+        for i in range(dim):
+            Q = sparse.csr_matrix(
+                ((cand[i].T * scale.take(orbit, 0)).ravel(),
+                 column.take(orbit, 0).ravel(), np.arange(0, dim * d + 1, dim)),
+                shape=(d, np.count_nonzero(keep)))
+            Q.eliminate_zeros()
+            basis.append(Q)
         blocks.append(IrrepBlock(tag, *basis))
     return blocks
 
@@ -222,5 +201,5 @@ def reduced_blocks(op: OperatorBundle, D: sparse.spmatrix
     partner basis of an E block is the same matrix and one block serves
     both rows.
     """
-    return [(blk, blk.basis.T @ (D @ blk.basis))
+    return [(blk, blk.basis.T.tocsr() @ (D @ blk.basis))
             for blk in irrep_blocks(op) if blk.size]
