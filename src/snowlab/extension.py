@@ -42,8 +42,8 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .lattice import Mesh, _lex_keys, boundary_cycle, boundary_hop_distance
-from .operators import _checked, _edge_energies, _stiffness, edge_conductances
-from .solver import NumericalError
+from .operators import (NumericalError, _edge_energies, _stiffness,
+                        edge_conductances)
 
 # between the level-4 (4,789) and level-5 (45,397) interior counts
 DIRECT_SOLVE_LIMIT = 10000
@@ -222,9 +222,7 @@ def energy_split(mesh: Mesh, u: np.ndarray, c0: float = 1.0
     """(interior-edge energy, boundary-edge energy); the two sum to the
     graph energy of u.  NumericalError if one is not finite."""
     b = mesh.edge_is_boundary
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = _edge_energies(mesh, u, c0)
-        return _checked((float(np.sum(e[~b])), float(np.sum(e[b]))))
+    return tuple(_edge_energies(mesh, u, c0, ~b, b))
 
 
 def decay_profile(mesh: Mesh, u: np.ndarray) -> list[tuple[int, float]]:

@@ -49,9 +49,9 @@ class OperatorBundle:
     S is sparse CSR symmetric.  m holds the vertex measures and inv_m their
     exact reciprocals (integer-valued doubles, exact below 2**53).
     vertex_map gives, for each operator row, the underlying mesh vertex, and
-    lattice_points its integer lattice coordinates (the solver reads the
-    mesh symmetry from them).  Immutable after assembly; safe to share
-    across threads.
+    lattice_points its integer lattice coordinates.  vertex_map ascends, so
+    the rows are in lattice (lex) order, which the D6 lookup relies on.
+    Immutable after assembly; safe to share across threads.
     """
 
     kind: str
@@ -142,32 +142,34 @@ def apply(op: OperatorBundle, u: np.ndarray) -> np.ndarray:
     return op.inv_m * (op.S @ u)
 
 
-def _edge_energies(mesh: Mesh, u: np.ndarray, c0: float = 1.0) -> np.ndarray:
-    """c(p, q) (u(p) - u(q))^2 per edge, aligned with mesh.edges; inf or NaN
-    where c0 * 4**n or the data overflows, which callers check (_checked)."""
+class NumericalError(Exception):
+    """A non-finite result, a residual above tolerance or a failed solve."""
+
+
+def _edge_energies(mesh: Mesh, u: np.ndarray, c0: float,
+                   *parts) -> list[float]:
+    """The sum of c(p, q) (u(p) - u(q))^2 over the edges that each part
+    (an index into mesh.edges) selects.  Where c0 * 4**n or the data
+    overflows a product or a sum, NumericalError, with no NumPy warning."""
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.num_vertices,):
         raise ValueError(
             f"vector has shape {u.shape}, mesh has {mesh.num_vertices} vertices")
     c = edge_conductances(mesh, c0)
     d = u[mesh.edges[:, 0]] - u[mesh.edges[:, 1]]
-    return c * d * d
-
-
-def _checked(energies):
-    """energies, or NumericalError if one of them is not finite."""
-    if not np.all(np.isfinite(energies)):
-        from .solver import NumericalError  # solver imports this module
-        raise NumericalError(f"energies {energies} are not all finite: "
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = c * d * d
+        sums = [float(np.sum(e[p])) for p in parts]
+    if not np.all(np.isfinite(sums)):
+        raise NumericalError(f"energies {sums} are not all finite: "
                              f"c0 * 4**level or the data is too large")
-    return energies
+    return sums
 
 
 def energy(mesh: Mesh, u: np.ndarray, c0: float = 1.0) -> float:
     """Graph energy E_n(u) over unordered adjacent pairs; NumericalError if
     it is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _checked(float(np.sum(_edge_energies(mesh, u, c0))))
+    return _edge_energies(mesh, u, c0, slice(None))[0]
 
 
 ENERGY_PARTS = ("total", "interior", "boundary")
@@ -190,11 +192,8 @@ def energy_sequence(f: Callable[[float, float], float], n_max: int,
     out = []
     for n in range(n_max + 1):
         mesh = build_mesh(n)
-        xy = cartesian_coordinates(mesh)
-        u = [f(x, y) for x, y in xy]
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = _edge_energies(mesh, u, c0)
-            if part != "total":
-                e = e[mesh.edge_is_boundary == (part == "boundary")]
-            out.append(float(np.sum(e)))
-    return _checked(out)
+        u = [f(x, y) for x, y in cartesian_coordinates(mesh)]
+        edges = slice(None) if part == "total" else (
+            mesh.edge_is_boundary == (part == "boundary"))
+        out += _edge_energies(mesh, u, c0, edges)
+    return out

@@ -45,7 +45,7 @@ import scipy.sparse.linalg
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from .operators import OperatorBundle
+from .operators import NumericalError, OperatorBundle
 from .symmetry import reduced_blocks
 
 DENSE_GUARD = 6000
@@ -60,16 +60,8 @@ SIGN_RULE = "largest-abs-entry-positive; ties within 1e-12 -> lowest index"
 NORMALIZATION = "m-inner-product unit norm"
 
 
-class SolverError(Exception):
-    """Base class for solver failures."""
-
-
-class DenseGuardError(SolverError):
+class DenseGuardError(Exception):
     """Problem too large for the dense path; use eig_partial."""
-
-
-class NumericalError(SolverError):
-    """Residuals above tolerance or iteration did not converge."""
 
 
 @dataclass(frozen=True)
@@ -279,9 +271,10 @@ def eig_partial(op: OperatorBundle, k: int, which: str = "smallest",
     extremal pairs of D hold no more than that from any block (an E-block
     eigenvalue occurs twice), so the merged window is exact.  The shift is
     sigma = -1 for which="smallest" (D + I is positive definite) and, for
-    which="largest", a shift above the Gershgorin bound of D, so the
-    shifted block is negative definite and its extremal eigenvalues are
-    the ones nearest the shift.  Either way the shifted block is definite,
+    which="largest", a shift above the spectrum of D (18 * 9**n for the
+    dirichlet kind, else just above the Gershgorin bound), so the shifted
+    block is negative definite and its extremal eigenvalues are the ones
+    nearest the shift.  Either way the shifted block is definite,
     so its one factorization takes diagonal pivots in SuperLU's symmetric
     mode.  Every block's start vector comes from `seed`, so runs are
     reproducible.  A block whose window is at least its size minus one is
@@ -311,6 +304,12 @@ def _blocked(op: OperatorBundle, k: int, which: str, seed: int,
     D = symmetrize(op)
     if which == "smallest":
         sigma = -1.0
+    elif op.kind == "dirichlet":
+        # each interior vertex has six conductance-1 edges, so D = 9**n (12 I
+        # - 2 A_II), A_II a principal block of the triangular lattice's
+        # adjacency operator, whose spectrum is [-3, 6] with no eigenvalue at
+        # -3: every eigenvalue of D is strictly below 18 * 9**n, whatever c0
+        sigma = 18.0 * 9 ** op.level
     else:
         # strictly above: the bound is attained (the top eigenvalue of the
         # boundary operator equals it), and a shift on an eigenvalue would

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from .lattice import _lex_keys
 from .operators import OperatorBundle
 
 GROUP_ORDER = 12
@@ -108,26 +109,24 @@ def vertex_permutations(op: OperatorBundle) -> np.ndarray | None:
     under group element g.  None when the twelve maps do not permute the
     operator's vertex set or do not leave S and m unchanged (level 0 has
     only the threefold subgroup, whose centroid is not a lattice point).
+    Each image is found by binary search among the rows' keys, which ascend
+    as `assemble` lists the rows in lattice (lex) order, and confirmed by
+    key equality, so rows in another order give None, never a wrong map.
     """
-    # tripled coordinates put the centroid (3**n / 3, 3**n / 3) on the lattice
-    c = 3 ** op.level
-    x = 3 * op.lattice_points[:, 0] - c
-    y = 3 * op.lattice_points[:, 1] - c
-    span = 8 * int(max(np.abs(x).max(initial=0), np.abs(y).max(initial=0))) + 1
-    keys = x * span + y
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
+    # tripled coordinates put the centroid (3**n / 3, 3**n / 3) on the
+    # lattice; key the rows and their images under r and f in one frame
+    t = 3 * op.lattice_points - 3 ** op.level
+    x, y = t.T
+    rows, *images = _lex_keys(np.stack(
+        [t, np.stack([-y, x + y], axis=-1), t[:, ::-1]]))[2].reshape(3, -1)
 
-    d = op.dimension
-    perms = np.empty((GROUP_ORDER, d), dtype=np.int64)
-    perms[0] = np.arange(d)
+    perms = np.empty((GROUP_ORDER, op.dimension), dtype=np.int64)
+    perms[0] = np.arange(op.dimension)
     # look up the generators r and f; the other maps are their compositions
-    for g, (a, b) in ((1, (-y, x + y)), (6, (y, x))):
-        want = a * span + b
-        pos = np.minimum(np.searchsorted(sorted_keys, want), d - 1)
-        if not np.array_equal(sorted_keys[pos], want):
+    for g, want in zip((1, 6), images):
+        p = perms[g] = np.searchsorted(rows, want)
+        if not np.array_equal(rows.take(p, mode="clip"), want):
             return None
-        p = perms[g] = order[pos]
         if not np.array_equal(op.m[p], op.m) or (op.S[p][:, p] != op.S).nnz:
             return None
     for k in range(2, 6):

@@ -170,6 +170,8 @@ def test_regime_validation():
     with pytest.raises(AnalysisError):
         regime_threshold(stub([1.0, 2.0], complete=False),
                          stub([1.0], kind="dirichlet"))
+    with pytest.raises(AnalysisError, match="^empty spectrum$"):
+        regime_threshold(stub([]), stub([1.0], kind="dirichlet"))
 
 
 def test_regime_level2_regression(spec2_full, spec2_dir):
@@ -209,6 +211,8 @@ def loop_groups(spec, rel_tol=1e-6):
 
 def test_multiplicity_groups_empty():
     assert multiplicity_groups(stub([], complete=False)) == []
+    with pytest.raises(ValueError, match="^rel_tol must be positive, got 0"):
+        multiplicity_groups(stub([1.0]), rel_tol=0.0)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -260,6 +264,8 @@ def test_pair_eigenvectors_needs_interior_rows(spec2_full, mesh2):
     spec_bd = eig_full(assemble(mesh2, "boundary"))
     with pytest.raises(AnalysisError):
         pair_eigenvectors(spec2_full, spec_bd, mesh2)
+    with pytest.raises(AnalysisError, match="^a spectrum has no interior"):
+        pair_eigenvectors(spec_bd, spec_bd, mesh2)
 
 
 def test_contour_classes():
@@ -398,6 +404,11 @@ def test_bound_check_matches_every_pair_scan(level, kind, chunk_width):
     assert [landscape_bound_check(spec, v).violations for v in scaled] == want
 
 
-def test_bound_check_validation(spec2_full, op2_dir):
+def test_bound_check_validation(spec2_full, op2_dir, op2_full):
     with pytest.raises(AnalysisError):
         landscape_bound_check(spec2_full, landscape(op2_dir))
+    u = landscape(op2_full)
+    short = LandscapeVector(u.kind, u.level, u.c0, u.values[:-1],
+                            u.vertex_map[:-1])
+    with pytest.raises(AnalysisError, match="^dimension mismatch: 85 vs 84$"):
+        landscape_bound_check(spec2_full, short)

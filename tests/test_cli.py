@@ -14,7 +14,7 @@ import snowlab
 from snowlab import cli, fileio
 from snowlab.analysis import loglog_slopes, multiplicity_groups
 from snowlab.cli import CLIUsageError, RunConfig, _build_parser, main
-from snowlab.lattice import build_mesh
+from snowlab.lattice import InvariantCheck, ValidationReport, build_mesh
 from snowlab.operators import assemble
 from snowlab.solver import eig_full
 
@@ -55,6 +55,15 @@ def test_config_validation():
         RunConfig(command="eig", level=1, which="middle")
     with pytest.raises(CLIUsageError):
         RunConfig(command="bogus", level=1)
+    for eps in (0.0, -0.5, np.nan):
+        with pytest.raises(CLIUsageError, match="^eps must be positive, got"):
+            RunConfig(command="localize", level=1, eps=eps)
+    with pytest.raises(CLIUsageError, match="^seed must be >= 0, got -1"):
+        RunConfig(command="eig", level=1, seed=-1)
+    with pytest.raises(CLIUsageError, match="^index must be >= 1, got 0"):
+        RunConfig(command="localize", level=1, index=0)
+    with pytest.raises(CLIUsageError, match="^n-max must be >= 0, got -1"):
+        RunConfig(command="energy-seq", level=1, n_max=-1)
 
 
 def test_parser_defaults_are_config_defaults():
@@ -88,6 +97,19 @@ def test_mesh_command(capsys, tmp_path):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["config_hash"] == fileio.config_hash(meta["config"])
     assert meta["config"]["command"] == "mesh"
+
+
+def test_mesh_command_invalid_mesh(capsys, tmp_path, monkeypatch):
+    # a built mesh that fails validation is one numerical error, and the
+    # stage writes nothing
+    failed = ValidationReport((InvariantCheck("a", True),
+                               InvariantCheck("b", False, "[3]")))
+    monkeypatch.setattr(cli, "validate", lambda mesh: failed)
+    out = tmp_path / "m"
+    code, stdout, err = run(capsys, "mesh", "--level", "1", "--out", str(out))
+    assert (code, stdout) == (4, "")
+    assert err == "error:numerical:built mesh fails validation: ['b']\n"
+    assert not out.exists()
 
 
 def test_assemble_command(capsys, tmp_path):

@@ -157,6 +157,8 @@ def test_alternating_decay_profile(mesh3):
     assert dists[0] == 1
     sups = [s for _, s in profile]
     assert sups[0] > sups[1] > sups[2]
+    with pytest.raises(ValueError, match="^vector has shape"):
+        decay_profile(mesh3, u[:-1])
 
 
 def per_shell_decay_profile(mesh, u):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 from conftest import read_csv, read_json, read_mesh, read_mtx, read_snwv
 
 from snowlab import fileio, solver
@@ -105,6 +106,8 @@ def test_matrix_market_against_scipy(op2_full, tmp_path):
     path = tmp_path / "S.mtx"
     fileio.write_matrix_market(op2_full.S, path)
     assert abs(read_mtx(path) - op2_full.S).max() == 0.0
+    with pytest.raises(ValueError, match=r"^matrix not square: \(2, 3\)"):
+        fileio.write_matrix_market(sparse.csr_matrix((2, 3)), path)
 
 
 def test_matrix_market_header(op2_full, tmp_path):
@@ -258,6 +261,23 @@ def test_vectors_meta_required(tmp_path):
             "normalization": "none", "sign_rule": "none", "note": "x"}
     with pytest.raises(ValueError, match="note"):
         fileio.write_vectors(np.ones(3), meta, tmp_path / "v.snwv")
+    # and the values are one vector or a (d, k) array
+    del meta["note"]
+    with pytest.raises(ValueError, match=r"^values must be \(d,\) or \(d, k\)"):
+        fileio.write_vectors(np.ones((2, 2, 2)), meta, tmp_path / "v.snwv")
+
+
+def test_write_json_plain_values(tmp_path):
+    # numpy scalars and arrays become plain numbers and lists, and
+    # non-finite floats become null
+    path = tmp_path / "x.json"
+    fileio.write_json({"i": np.int64(3), "f": np.float32(0.5),
+                       "nan": float("nan"), "inf": np.float64(np.inf),
+                       "a": np.array([[1.0, np.nan], [2.0, 3.0]]),
+                       "t": (np.int32(1), {"k": np.float64(2.5)})}, path)
+    assert json.loads(path.read_text()) == {
+        "i": 3, "f": 0.5, "nan": None, "inf": None,
+        "a": [[1.0, None], [2.0, 3.0]], "t": [1, {"k": 2.5}]}
 
 
 def test_boundary_round_trip(tmp_path, rng):
@@ -269,6 +289,9 @@ def test_boundary_round_trip(tmp_path, rng):
     assert np.array_equal(rows[:, 0], np.arange(1, 13))
     assert np.array_equal(rows[:, 1], values)
     assert np.array_equal(fileio.read_boundary_csv(path), values)
+    path.write_text("index,value\n1,0.5\n")
+    with pytest.raises(fileio.FormatError, match="^bad header 'index,value'"):
+        fileio.read_boundary_csv(path)
 
 
 def test_counting_csv(spec2_full, tmp_path):

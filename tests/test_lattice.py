@@ -429,6 +429,7 @@ def test_validate_detects_corruption(mesh2, kind):
     failed = {c.name: c.detail for c in report.failures()}
     assert check in failed, str(report)
     assert failed[check] == detail
+    assert f"FAIL: {check} ({detail})" in str(report).splitlines()
 
 
 # -- reference: the sort-based construction and the dictionary walk that the

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from snowlab import operators, solver
 from snowlab.extension import (
     energy_split,
     harmonic_extend,
@@ -233,6 +234,10 @@ def test_assembly_matches_reference(level, c0):
     for kind in KINDS:
         op, want = assemble(mesh, kind, c0), reference_assemble(mesh, kind, c0)
         assert_same_csr(op.S, want.pop("S"))
+        # rows in strictly ascending lattice (lex) order, which the D6
+        # lookup in snowlab.symmetry relies on
+        a, b = op.lattice_points.T
+        assert np.all((a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1])))
         for name, arr in want.items():
             assert_same_bytes(getattr(op, name), arr)
 
@@ -290,6 +295,8 @@ def test_energy_examples(mesh0):
     u = np.array([1.0, 0.0, 0.0])
     assert energy(mesh0, u) == 2.0
     assert energy(mesh0, u, c0=2.5) == 5.0
+    with pytest.raises(ValueError, match=r"^vector has shape \(4,\), mesh has 3"):
+        energy(mesh0, np.ones(4))
 
 
 @pytest.mark.parametrize("level", (1, 2, 3))
@@ -379,17 +386,29 @@ def test_energy_rejects_bad_c0(compute, c0):
 
 
 # c0 * 4**n overflows to an infinite boundary conductance: the energy is inf,
-# or NaN where the difference across that edge is zero
+# or NaN where the difference across that edge is zero.  At level 0 with
+# c0 = 4e307 each edge energy is finite (4e307, 1.6e308, 4e307), and only
+# their sum overflows
 @pytest.mark.parametrize("compute", [
     lambda: energy(cached_mesh(1), np.arange(13.0), 1e308),
     lambda: energy_split(cached_mesh(1), np.arange(13.0), 1e308),
     lambda: energy_sequence(lambda x, y: 1.0, 2, c0=1e308),
-], ids=["energy", "energy_split", "energy_sequence"])
+    lambda: energy(cached_mesh(0), np.arange(3.0), 4e307),
+    lambda: energy_split(cached_mesh(0), np.arange(3.0), 4e307),
+], ids=["energy", "energy_split", "energy_sequence", "energy-sum",
+        "energy_split-sum"])
 def test_nonfinite_energy_raises(compute):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="^energies .* not all finite"):
             compute()
+
+
+def test_numerical_error_is_one_class():
+    # operators defines it; the solver, the extension and the CLI reraise
+    # and catch the same class
+    assert NumericalError is operators.NumericalError
+    assert solver.NumericalError is operators.NumericalError
 
 
 def test_interior_energy_sequence_ignores_c0_overflow():

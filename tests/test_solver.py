@@ -188,6 +188,9 @@ def test_truncated(spec2_full):
     assert np.array_equal(t.eigenvalues, spec2_full.eigenvalues[:5])
     assert np.array_equal(t.eigenvectors, spec2_full.eigenvectors[:, :5])
     assert t.dimension == spec2_full.dimension
+    for k in (0, spec2_full.count + 1):
+        with pytest.raises(ValueError, match=f"^k must be in 1..{spec2_full.count}"):
+            spec2_full.truncated(k)
 
 
 def test_partial_k_validation(op2_full, mesh0):

@@ -271,3 +271,18 @@ def test_composed_permutations_none_when_not_invariant(op2_full, field):
     op = dataclasses.replace(op2_full, S=S, m=m)
     assert twelve_lookup_permutations(op) is None
     assert vertex_permutations(op) is None
+
+
+def test_rows_out_of_lattice_order_get_one_block(op2_full):
+    # the lookup relies on assemble's lattice row order: rows in another
+    # order find no map, so the solve falls back to the identity block
+    rev = np.arange(op2_full.dimension)[::-1]
+    op = dataclasses.replace(
+        op2_full, S=op2_full.S[rev][:, rev], m=op2_full.m[rev],
+        inv_m=op2_full.inv_m[rev], vertex_map=op2_full.vertex_map[rev],
+        lattice_points=op2_full.lattice_points[rev])
+    assert vertex_permutations(op) is None
+    got, want = eig_full(op), eig_full(op2_full)
+    assert got.irreps == (TRIVIAL_TAG,) * op.dimension
+    assert np.abs(got.eigenvalues - want.eigenvalues).max() <= (
+        1e-9 * want.eigenvalues.max())
