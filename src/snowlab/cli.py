@@ -64,6 +64,18 @@ CHOICES = {
     "function": tuple(sorted(FUNCTIONS)),
     "part": ENERGY_PARTS,
 }
+# the argparse settings of each option a subcommand adds to --level, --c0
+# and --out
+OPTIONS = {
+    **{name: {"choices": valid} for name, valid in CHOICES.items()},
+    "k": {"type": int, "help": "number of eigenpairs (iterative; default 6)"},
+    "seed": {"type": int},
+    "eps": {"type": float},
+    "index": {"type": int, "help": "1-based mode for the contour export "
+                                   "(default: highest)"},
+    "data": {"help": "boundary CSV; omit to use --pattern"},
+    "n-max": {"type": int},
+}
 
 
 class CLIUsageError(Exception):
@@ -131,53 +143,14 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="snowlab", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"snowlab {__version__}")
     sub = p.add_subparsers(dest="command", metavar="command", required=True)
-
-    def command(name: str, summary: str, kind: bool = True
-                ) -> argparse.ArgumentParser:
+    for name, (_, summary, options) in _DISPATCH.items():
         sp = sub.add_parser(name, help=summary,
                             argument_default=argparse.SUPPRESS)
         sp.add_argument("--level", type=int, required=True)
         sp.add_argument("--c0", type=float)
         sp.add_argument("--out")
-        if kind:
-            sp.add_argument("--kind", choices=CHOICES["kind"])
-        return sp
-
-    command("mesh", "build, validate and export a mesh", kind=False)
-    command("assemble", "export stiffness matrix and mass vector")
-
-    sp = command("eig", "solve and export a spectrum")
-    sp.add_argument("--solver", choices=CHOICES["solver"])
-    sp.add_argument("--k", type=int,
-                    help="number of eigenpairs (iterative; default 6)")
-    sp.add_argument("--which", choices=CHOICES["which"])
-    sp.add_argument("--seed", type=int)
-
-    command("count", "counting functions and regime report "
-                     "(dense, full + dirichlet)", kind=False)
-    command("landscape", "landscape vector, closed forms, "
-                         "eigenvector bound check")
-
-    sp = command("localize", "localization table and one contour CSV",
-                 kind=False)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--index", type=int,
-                    help="1-based mode for the contour export (default: highest)")
-
-    sp = command("extend", "harmonic extension of boundary data", kind=False)
-    sp.add_argument("--data", type=str,
-                    help="boundary CSV; omit to use --pattern")
-    sp.add_argument("--pattern", choices=CHOICES["pattern"])
-    sp.add_argument("--seed", type=int)
-
-    sp = command("energy-seq", "graph energy of a test function "
-                               "across levels 0..n-max", kind=False)
-    sp.add_argument("--function", choices=CHOICES["function"])
-    sp.add_argument("--n-max", type=int)
-    sp.add_argument("--part", choices=CHOICES["part"])
-
-    command("run", "mesh, count, landscape, localize and "
-                   "extend on one pipeline, plus a summary", kind=False)
+        for option in options:
+            sp.add_argument(f"--{option}", **OPTIONS[option])
     return p
 
 
@@ -375,21 +348,32 @@ def _cmd_run(cfg: RunConfig, p: Pipeline) -> None:
           f"pairs={len(pairs)} loglog_slopes={slopes!r}")
 
 
+# each subcommand in help order: its stage, its summary and the OPTIONS it
+# adds to --level, --c0 and --out
 _DISPATCH = {
-    "mesh": _cmd_mesh,
-    "assemble": _cmd_assemble,
-    "eig": _cmd_eig,
-    "count": _cmd_count,
-    "landscape": _cmd_landscape,
-    "localize": _cmd_localize,
-    "extend": _cmd_extend,
-    "energy-seq": _cmd_energy_seq,
-    "run": _cmd_run,
+    "mesh": (_cmd_mesh, "build, validate and export a mesh", ()),
+    "assemble": (_cmd_assemble, "export stiffness matrix and mass vector",
+                 ("kind",)),
+    "eig": (_cmd_eig, "solve and export a spectrum",
+            ("kind", "solver", "k", "which", "seed")),
+    "count": (_cmd_count, "counting functions and regime report "
+                          "(dense, full + dirichlet)", ()),
+    "landscape": (_cmd_landscape, "landscape vector, closed forms, "
+                                  "eigenvector bound check", ("kind",)),
+    "localize": (_cmd_localize, "localization table and one contour CSV",
+                 ("eps", "index")),
+    "extend": (_cmd_extend, "harmonic extension of boundary data",
+               ("data", "pattern", "seed")),
+    "energy-seq": (_cmd_energy_seq, "graph energy of a test function "
+                                    "across levels 0..n-max",
+                   ("function", "n-max", "part")),
+    "run": (_cmd_run, "mesh, count, landscape, localize and extend on one "
+                      "pipeline, plus a summary", ()),
 }
 
 
 def _execute(cfg: RunConfig, p: Pipeline) -> None:
-    _DISPATCH[cfg.command](cfg, p)
+    _DISPATCH[cfg.command][0](cfg, p)
     fileio.write_metadata(cfg.to_json(), _outdir(cfg) / "metadata.json")
 
 

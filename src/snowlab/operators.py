@@ -190,10 +190,11 @@ def energy_sequence(f: Callable[[float, float], float], n_max: int,
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     out = []
-    for n in range(n_max + 1):
+    # level n_max first: its mesh guard fails before any smaller mesh exists
+    for n in (n_max, *range(n_max)):
         mesh = build_mesh(n)
         u = [f(x, y) for x, y in cartesian_coordinates(mesh)]
         edges = slice(None) if part == "total" else (
             mesh.edge_is_boundary == (part == "boundary"))
         out += _edge_energies(mesh, u, c0, edges)
-    return out
+    return out[1:] + out[:1]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -71,6 +72,32 @@ def test_parser_defaults_are_config_defaults():
     for command in cli._DISPATCH:
         args = parser.parse_args([command, "--level", "1"])
         assert RunConfig(**vars(args)) == RunConfig(command, 1)
+
+
+def test_subcommand_options():
+    # each subcommand, in help order, and the options it adds to the ones
+    # every subcommand takes
+    expected = {
+        "mesh": set(),
+        "assemble": {"--kind"},
+        "eig": {"--kind", "--solver", "--k", "--which", "--seed"},
+        "count": set(),
+        "landscape": {"--kind"},
+        "localize": {"--eps", "--index"},
+        "extend": {"--data", "--pattern", "--seed"},
+        "energy-seq": {"--function", "--n-max", "--part"},
+        "run": set(),
+    }
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(expected)
+    for command, extra in expected.items():
+        actions = sub.choices[command]._actions
+        assert {s for a in actions for s in a.option_strings} == (
+            {"-h", "--help", "--level", "--c0", "--out"} | extra), command
+        assert [a.option_strings for a in actions if a.required] == [
+            ["--level"]], command
 
 
 @pytest.mark.parametrize("field", sorted(cli.CHOICES))

@@ -13,7 +13,7 @@ from snowlab.extension import (
     harmonic_extend,
     random_boundary_data,
 )
-from snowlab.lattice import Mesh, build_mesh
+from snowlab.lattice import LevelGuardError, Mesh, build_mesh
 from snowlab.operators import (
     KINDS,
     OperatorBundle,
@@ -369,6 +369,21 @@ def test_energy_sequence_part_validation():
 def test_energy_sequence_rejects_negative_n_max(n_max):
     with pytest.raises(ValueError, match="^n_max must be >= 0, got"):
         energy_sequence(lambda x, y: x, n_max)
+
+
+def test_energy_sequence_guards_n_max_first(monkeypatch):
+    # the level-n_max guard fails before any smaller mesh is built
+    monkeypatch.setenv("SNOWLAB_GUARD_LEVEL", "2")
+    built = []
+
+    def spy(level):
+        built.append(level)
+        return build_mesh(level)
+
+    monkeypatch.setattr(operators, "build_mesh", spy)
+    with pytest.raises(LevelGuardError, match="^level 3 exceeds guard 2"):
+        energy_sequence(lambda x, y: x, 3)
+    assert built == [3]
 
 
 # the energies check c0 where it becomes a boundary conductance, as assemble
