@@ -42,8 +42,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .lattice import Mesh, _lex_keys, boundary_cycle, boundary_hop_distance
-from .operators import (NumericalError, _edge_energies, _stiffness,
-                        edge_conductances)
+from .operators import NumericalError, _edge_energies, assemble
 
 # between the level-4 (4,789) and level-5 (45,397) interior counts
 DIRECT_SOLVE_LIMIT = 10000
@@ -80,8 +79,9 @@ class BoundaryData:
 
 
 def alternating_boundary_data(mesh: Mesh) -> BoundaryData:
-    """+1/-1 alternating along the boundary polygon (its length 3 * 4**n is
-    even, so the alternation closes up)."""
+    """+1/-1 alternating along the boundary polygon.  For level >= 1 its
+    length 3 * 4**n is even, so the alternation closes up; at level 0 the
+    cycle has 3 vertices, and its first and last are both +1."""
     cyc = boundary_cycle(mesh)
     pos = np.empty(mesh.num_vertices, dtype=np.int64)
     pos[cyc] = np.arange(len(cyc))
@@ -189,10 +189,9 @@ def harmonic_extend(mesh: Mesh, f) -> np.ndarray:
     if len(iidx) == 0:
         return u
 
-    # the interior rows of S (no boundary edge meets them, so any c0 gives
-    # these); u is zero inside, so rows @ u sums the boundary columns, S_IB f
-    rows = _stiffness(mesh.num_vertices, mesh.edges,
-                      edge_conductances(mesh))[iidx]
+    # the interior rows of the full S, the same for any c0 (no boundary edge
+    # meets them); u is zero inside, so rows @ u sums the columns S_IB f
+    rows = assemble(mesh).S[iidx]
     S_II = rows[:, iidx]
     rhs = -(rows @ u)
 

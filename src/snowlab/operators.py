@@ -17,7 +17,7 @@ semidefinite; eigenvalues are reported nonnegative.
 Each operator kind is the rows and columns of S at its vertices, with S
 built once from the kind's edges (so a kept vertex's diagonal counts all its
 edges, edges to dropped vertices included).  The kinds:
-  full       all vertices, all edges;
+  full       all vertices, all edges: S and m as built;
   dirichlet  interior vertices, all edges: the full S and m with boundary
              rows and columns deleted (zero boundary conditions);
   boundary   boundary vertices, boundary edges only (the weighted cycle
@@ -88,49 +88,47 @@ def _mass_vectors(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return m, inv_m
 
 
-def _stiffness(n: int, edges: np.ndarray, c: np.ndarray) -> sparse.csr_matrix:
-    """The stiffness matrix S of (edges, c) on n vertices, in vertex order:
-    -2c off the diagonal, and on it 2 * the sum of c over every edge at the
-    vertex, summed in edge order, all first ends and then all second ends,
-    which fixes how inexact conductances (c0 not dyadic) round.
+def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
+    """Assemble the stiffness/mass pair for the requested operator kind.
 
-    Mesh edges are lex-sorted pairs with i < j, so the entries are listed
-    below the diagonal, on it, then above it, and every row comes out of
-    the stable conversion to CSR already sorted; slicing rows and then
-    columns by ascending index arrays keeps that.
+    S is built once from the kind's edges, in vertex order: -2c off the
+    diagonal, and on it 2 * the sum of c over every edge at the vertex,
+    summed in edge order, all first ends and then all second ends, which
+    fixes how inexact conductances (c0 not dyadic) round.  Mesh edges are
+    lex-sorted pairs with i < j, so the entries are listed below the
+    diagonal, on it, then above it, and every row comes out of the stable
+    conversion to CSR already sorted; slicing rows and then columns by
+    ascending index arrays keeps that.  The full kind is S and m as built;
+    the other kinds take the rows and columns of S and the entries of m at
+    their vertices.
     """
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+
+    n = mesh.num_vertices
+    edge_set = mesh.edge_is_boundary if kind == "boundary" else slice(None)
+    c = edge_conductances(mesh, c0)[edge_set]
     # the edge ends in the int32 index type of the CSR results whenever it
     # fits, as the index arrays set the memory peak of assembly
-    i, j = edges.T.astype(np.int32 if n < 2**31 else np.int64)
+    i, j = mesh.edges[edge_set].T.astype(np.int32 if n < 2**31 else np.int64)
     diag = np.zeros(n)
     np.add.at(diag, i, c)
     np.add.at(diag, j, c)
     ids = np.arange(n, dtype=i.dtype)
     off = -2.0 * c
-    return sparse.coo_matrix(
+    S = sparse.coo_matrix(
         (np.concatenate([off, 2.0 * diag, off]),
          (np.concatenate([j, ids, i]), np.concatenate([i, ids, j]))),
         shape=(n, n)).tocsr()
-
-
-def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
-    """Assemble the stiffness/mass pair for the requested operator kind:
-    the rows and columns of S (built from the kind's edges) and the entries
-    of m at the kind's vertices."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-
-    vmap, edge_set = {
-        "full": (np.arange(mesh.num_vertices), slice(None)),
-        "dirichlet": (mesh.interior_vertices, slice(None)),
-        "boundary": (mesh.boundary_vertices, mesh.edge_is_boundary),
-    }[kind]
-    S = _stiffness(mesh.num_vertices, mesh.edges[edge_set],
-                   edge_conductances(mesh, c0)[edge_set])[vmap][:, vmap]
     m, inv_m = _mass_vectors(mesh)
-    return OperatorBundle(kind=kind, level=mesh.level, c0=c0, S=S,
-                          m=m[vmap], inv_m=inv_m[vmap], vertex_map=vmap,
-                          lattice_points=mesh.vertices[vmap])
+    vmap, points = np.arange(n), mesh.vertices
+    if kind != "full":
+        vmap = (mesh.boundary_vertices if kind == "boundary"
+                else mesh.interior_vertices)
+        S, m, inv_m = S[vmap][:, vmap], m[vmap], inv_m[vmap]
+        points = mesh.vertices[vmap]
+    return OperatorBundle(kind=kind, level=mesh.level, c0=c0, S=S, m=m,
+                          inv_m=inv_m, vertex_map=vmap, lattice_points=points)
 
 
 def apply(op: OperatorBundle, u: np.ndarray) -> np.ndarray:

@@ -102,6 +102,21 @@ def test_assemble_shapes(level, kind):
     assert np.all(op.m > 0)
 
 
+def test_bundle_and_spectrum_arrays_read_only(spec2_full):
+    """OperatorBundle and Spectrum are documented immutable and safe to
+    share across threads; the full kind hands out the mesh's own lattice
+    points."""
+    arrays = [spec2_full.eigenvalues, spec2_full.eigenvectors,
+              spec2_full.residuals, spec2_full.vertex_map]
+    for level, kind in itertools.product((0, 1, 2), KINDS):
+        op = assemble(build_mesh(level), kind)
+        arrays += [op.m, op.inv_m, op.vertex_map, op.lattice_points]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_stiffness_structure(mesh2, kind):
     op = assemble(mesh2, kind)
