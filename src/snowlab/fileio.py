@@ -72,10 +72,8 @@ def _plain(obj: Any) -> Any:
     Non-finite floats become null: bare NaN/Infinity tokens are not valid
     JSON and would trip strict parsers downstream.
     """
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        obj = float(obj)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
         return None
     if isinstance(obj, np.ndarray):

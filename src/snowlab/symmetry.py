@@ -23,8 +23,8 @@ orbit, and y_2j = P_21 y_1j is its partner in the second row of the same
 two-dimensional irrep.  Orbits have 12, 6 or 1 points (trivial, one
 reflection, or the whole group as stabilizer); the candidates that vanish
 on an orbit, or that repeat one another on a 6-point orbit, are dropped.
-Each vertex lies in one orbit, so its candidate entries form one column
-of a coefficient table, and each basis is read off it as a CSR matrix.
+Each vertex lies in one orbit, so its candidates in one irrep form one
+column of that irrep's coefficient table, the source of its CSR bases.
 Everything is built from integer lattice permutations: no geometric
 tolerance is involved.
 """
@@ -142,7 +142,7 @@ def irrep_blocks(op: OperatorBundle) -> list[IrrepBlock]:
 
     Blocks can be empty (A2 has no vector at level 1).  Columns are
     ordered by orbit (smallest row first) and, within an orbit, by j.
-    Row v of a basis is read off column v of one irrep coefficient table.
+    Row v of a basis is read off column v of its irrep's coefficient table.
     """
     d = op.dimension
     perms = vertex_permutations(op)
@@ -152,21 +152,16 @@ def irrep_blocks(op: OperatorBundle) -> list[IrrepBlock]:
     # each vertex's orbit, numbered by its smallest row, the representative p
     reps, orbit = np.unique(perms.min(axis=0), return_inverse=True)
     free = np.bincount(orbit) == GROUP_ORDER
-    # coef[c, v] adds column c = (irrep, i, j) of D(g) over the g that map
-    # v's representative to v: the candidate y_ij = sum_g D(g)_ij e_{g p}
-    # on v.  bincount adds in input order, and the input lists g ascending
-    C = np.concatenate([D.reshape(GROUP_ORDER, -1)
-                        for D in IRREPS.values()], axis=1)
     hits = perms[:, reps].ravel()
-    coef = np.array([np.bincount(hits, np.repeat(c, len(reps)), d)
-                     for c in C.T])
-
-    sizes = np.cumsum([D.shape[1] ** 2 for D in IRREPS.values()])[:-1]
     blocks = []
-    for (tag, D), cand in zip(IRREPS.items(), np.split(coef, sizes)):
+    for tag, D in IRREPS.items():
         dim = D.shape[1]
-        # candidate j of irrep row i on vertex v is cand[i, j, v]
-        cand = cand.reshape(dim, dim, d)
+        # cand[i, j, v] adds D(g)_ij over the g that map v's representative
+        # to v: the candidate y_ij = sum_g D(g)_ij e_{g p} on v.  bincount
+        # adds in input order, and the input lists g ascending
+        cand = np.array([np.bincount(hits, np.repeat(c, len(reps)), d)
+                         for c in D.reshape(GROUP_ORDER, -1).T]
+                        ).reshape(dim, dim, d)
         # bincount adds each orbit's squares one by one in ascending row order
         norms = np.sqrt([np.bincount(orbit, np.square(c)) for c in cand[0]]).T
         # a free orbit carries all dim candidates (orthogonal by Schur);

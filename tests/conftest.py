@@ -12,6 +12,7 @@ that is not its own twin.
 import csv
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,20 @@ def chunk_width(monkeypatch):
         monkeypatch.setattr(solver, "CHUNK_BYTES", 8 * d * columns)
         assert solver.chunk_columns(d) == columns
     return set_width
+
+
+def traced_memory(call):
+    """(peak, current) bytes traced by tracemalloc over one call of `call`,
+    made after one untraced warm call so that one-time costs (imports,
+    caches) do not count; `current` is what the result still holds."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()  # held, so that `current` counts what it keeps
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, current
 
 
 def read_csv(path):

@@ -1,12 +1,12 @@
 import functools
 import hashlib
-import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import traced_memory
 
 from snowlab.lattice import (
     DEFAULT_GUARD_LEVEL,
@@ -108,13 +108,8 @@ def test_validate_memory_bound():
     mesh = build_mesh(5)
     arrays = (mesh.vertices, mesh.triangles, mesh.edges,
               mesh.edge_is_boundary, mesh.boundary_flags)
-    validate(mesh)
-    tracemalloc.start()
-    try:
-        assert validate(mesh).ok
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    assert validate(mesh).ok
+    peak, _ = traced_memory(lambda: validate(mesh))
     assert peak <= 2.5 * sum(x.nbytes for x in arrays)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy import sparse
+from conftest import traced_memory
 
 from snowlab.lattice import build_mesh
 from snowlab.operators import assemble
@@ -88,6 +89,16 @@ def test_level4_block_sizes(op4_full, op4_dir):
         assert {b.tag: b.size for b in blocks} == want[op.kind]
         assert all(b.partner is None or b.partner.shape == b.basis.shape
                    for b in blocks)
+
+
+@pytest.mark.parametrize("kind", ("full", "dirichlet", "boundary"))
+def test_irrep_blocks_memory_bound(mesh4, kind):
+    # each irrep's candidate table is built in the loop that reads it, so
+    # a warm call's transient bytes (traced peak less what the blocks
+    # keep) stay within 2.2 times the (12, d) int64 permutation table
+    op = assemble(mesh4, kind)
+    peak, current = traced_memory(lambda: irrep_blocks(op))
+    assert peak - current <= 2.2 * GROUP_ORDER * op.dimension * 8
 
 
 @pytest.mark.parametrize("kind", ("full", "dirichlet", "boundary"))
