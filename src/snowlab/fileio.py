@@ -73,7 +73,8 @@ def _plain(obj: Any) -> Any:
     JSON and would trip strict parsers downstream.
     """
     if isinstance(obj, np.generic):
-        obj = obj.item()
+        # .item() leaves np.longdouble as it is; float() converts any width
+        obj = float(obj) if isinstance(obj, np.floating) else obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
         return None
     if isinstance(obj, np.ndarray):

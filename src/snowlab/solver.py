@@ -26,9 +26,10 @@ levels <= 4.  The shift lies outside the spectrum, so each shifted block
 is definite and is factored once by SuperLU in symmetric mode: diagonal
 pivots on a minimum-degree ordering of its pattern, which fills less than
 a partially pivoted factorization.  A larger share is sliced from one
-dense eigh of the block.  eig_full (up to the guard) is the window of the
-whole spectrum, so every block takes that dense eigh.  Both return irrep
-tags and order equal eigenvalues the same way.
+dense eigh of the block, by LAPACK's divide-and-conquer driver (evd) above
+EVD_MIN_ROWS rows and by evr otherwise.  eig_full (up to the guard) is the
+window of the whole spectrum, so every block takes that dense eigh.  Both
+return irrep tags and order equal eigenvalues the same way.
 
 Both finish the block eigenvectors in one pass, a cache-sized chunk of
 columns at a time, with the same floating-point operations per column
@@ -49,6 +50,8 @@ from .operators import NumericalError, OperatorBundle
 from .symmetry import reduced_blocks
 
 DENSE_GUARD = 6000
+# larger blocks take evd; the pinned level 0-3 bytes (blocks <= 110) are evr's
+EVD_MIN_ROWS = 256
 RESIDUAL_TOL = 1e-8
 SIGN_TIE_TOL = 1e-12
 # bytes of each (d, c) temporary in the pass that finishes eigenpairs:
@@ -220,18 +223,25 @@ def eig_full(op: OperatorBundle) -> Spectrum:
     return _blocked(op, n, "smallest", seed=0, label="dense")
 
 
+def _block_eigh(A: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of one block, ascending, by a dense eigh: the evd
+    driver above EVD_MIN_ROWS rows, evr up to it."""
+    driver = "evd" if A.shape[0] > EVD_MIN_ROWS else "evr"
+    return scipy.linalg.eigh(A.toarray(order="F"), overwrite_a=True,
+                             check_finite=False, driver=driver)
+
+
 def _extremal_pairs(A: sparse.csr_matrix, count: int, which: str,
                     sigma: float, seed: int,
                     tag: str) -> tuple[np.ndarray, np.ndarray, bool]:
     """The `count` smallest or largest eigenpairs of one block, ascending,
     and whether ARPACK computed them, with its default iteration limit.  A
     window of at least the block size minus one, which leaves ARPACK no
-    room to restart, is sliced from a dense eigh.  A shifted block that
+    room to restart, is sliced from `_block_eigh`.  A shifted block that
     SuperLU cannot factor (a non-finite entry) raises NumericalError."""
     b = A.shape[0]
     if count >= b - 1:
-        w, Y = scipy.linalg.eigh(A.toarray(order="F"), overwrite_a=True,
-                                 check_finite=False)
+        w, Y = _block_eigh(A)
         keep = slice(0, count) if which == "smallest" else slice(b - count, b)
         return w[keep], Y[:, keep], False
     # A - sigma I is definite (see eig_partial), so diagonal pivots are

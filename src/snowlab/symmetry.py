@@ -153,6 +153,7 @@ def irrep_blocks(op: OperatorBundle) -> list[IrrepBlock]:
     reps, orbit = np.unique(perms.min(axis=0), return_inverse=True)
     free = np.bincount(orbit) == GROUP_ORDER
     hits = perms[:, reps].ravel()
+    del perms  # free the (12, d) table before the per-irrep loop
     blocks = []
     for tag, D in IRREPS.items():
         dim = D.shape[1]

@@ -272,12 +272,12 @@ def test_write_json_plain_values(tmp_path):
     # and non-finite floats become null
     path = tmp_path / "x.json"
     fileio.write_json({"i": np.int64(3), "f": np.float32(0.5),
-                       "b": np.bool_(True),
+                       "b": np.bool_(True), "ld": np.longdouble(1.5),
                        "nan": float("nan"), "inf": np.float64(np.inf),
                        "a": np.array([[1.0, np.nan], [2.0, 3.0]]),
                        "t": (np.int32(1), {"k": np.float64(2.5)})}, path)
     assert json.loads(path.read_text()) == {
-        "i": 3, "f": 0.5, "b": True, "nan": None, "inf": None,
+        "i": 3, "f": 0.5, "b": True, "ld": 1.5, "nan": None, "inf": None,
         "a": [[1.0, None], [2.0, 3.0]], "t": [1, {"k": 2.5}]}
 
 

@@ -19,7 +19,7 @@ from snowlab.solver import (
     eig_partial,
     symmetrize,
 )
-from snowlab.symmetry import reduced_blocks
+from snowlab.symmetry import irrep_blocks, reduced_blocks
 
 
 def trace_identity(op: OperatorBundle) -> float:
@@ -437,8 +437,7 @@ def block_eigenpairs(op):
     """The per-row block eigenpairs eig_full hands to the fused pass."""
     solved = []
     for blk, A in reduced_blocks(op, symmetrize(op)):
-        w, Y = scipy.linalg.eigh(A.toarray(), overwrite_a=True,
-                                 check_finite=False)
+        w, Y = solver._block_eigh(A)
         solved += [(tag, Q, w, Y) for tag, Q in blk.rows]
     return solved
 
@@ -450,6 +449,54 @@ def test_fused_level4_matches_two_pass(op4_full, spec4_full, op4_dir,
                      solver.RESIDUAL_TOL)
         assert_same_bytes(spec, ref)
         del ref
+
+
+def test_evd_blocks_match_evr_level4(op4_full, spec4_full, op4_dir,
+                                     spec4_dir):
+    # the level-4 full and Dirichlet blocks take the evd driver; an evr
+    # solve of each block is the reference for eigenvalues and tags.  It
+    # computes eigenvectors, as eig_full did with evr: evr's eigenvalues-only
+    # path is another algorithm, whose zero eigenvalue of the full kind
+    # lies 5e-10 off, about 9 eps ||D||
+    for op, spec in ((op4_full, spec4_full), (op4_dir, spec4_dir)):
+        w, tags = [], []
+        for blk, A in reduced_blocks(op, symmetrize(op)):
+            ref = scipy.linalg.eigh(A.toarray(), driver="evr")[0]
+            for tag, _ in blk.rows:
+                w.append(ref)
+                tags += [tag] * len(ref)
+        order = np.argsort(np.concatenate(w), kind="stable")
+        w, tags = np.concatenate(w)[order], np.array(tags)[order]
+        scale = np.maximum(1.0, np.abs(w))
+        assert np.all(np.abs(spec.eigenvalues - w) <= 1e-10 * scale)
+
+        # residuals recomputed here, a few hundred columns at a time
+        Phi, lam = spec.eigenvectors, spec.eigenvalues
+        for lo in range(0, spec.count, 500):
+            P, wl = Phi[:, lo:lo + 500], lam[lo:lo + 500]
+            R = op.S @ P - (op.m[:, None] * P) * wl
+            assert np.all(np.abs(R).max(axis=0)
+                          <= solver.RESIDUAL_TOL * np.maximum(1.0, wl))
+
+        # tags agree one by one, except that within a group of eigenvalues
+        # equal to 1e-12 relative (an E pair, a flat band) they agree as a
+        # multiset: the two drivers may order a degenerate band differently
+        gap = np.diff(w) > 1e-12 * scale[1:]
+        edges = np.concatenate([[0], np.flatnonzero(gap) + 1, [len(w)]])
+        for a, b in zip(edges[:-1], edges[1:]):
+            assert sorted(spec.irreps[a:b]) == sorted(tags[a:b]), (a, b)
+
+
+def test_evd_threshold_spares_pinned_levels(op4_full, op4_dir, mesh4):
+    # every block at levels 0-3, and of the level-4 boundary kind, takes
+    # evr, so the pinned artifacts keep their bytes; every level-4 full and
+    # Dirichlet block takes evd
+    small = [assemble(build_mesh(level), kind) for level, kind in ORACLE_CASES]
+    for op in small + [assemble(mesh4, "boundary")]:
+        assert all(blk.size <= solver.EVD_MIN_ROWS
+                   for blk in irrep_blocks(op)), (op.level, op.kind)
+    for op in (op4_full, op4_dir):
+        assert all(blk.size > solver.EVD_MIN_ROWS for blk in irrep_blocks(op))
 
 
 @pytest.mark.parametrize("call", ("full", "smallest", "largest"))
