@@ -14,17 +14,17 @@ unique, is linear in f, satisfies the discrete maximum principle (each
 interior value is a convex combination of neighbor values), and minimizes
 the interior-edge energy among all extensions of f.
 
-Up to DIRECT_SOLVE_LIMIT interior vertices (levels 0-4) the interior system
-is factorized by splu; beyond it (levels 5 and 6) it is solved by
-multigrid-preconditioned CG under the same residual check: the
-preconditioner is one smoothed-aggregation V-cycle whose aggregates are 3x3
-blocks of lattice coordinates, with two damped-Jacobi sweeps on each side
-of the coarse correction.  CG converges in 11-12 iterations at levels 5 and
-6, at level 5 in a fraction of the time splu takes, as the fill of the
-factorization grows faster than the system.  A CG result differs from the
-splu result by roundoff and, through the BLAS reductions inside CG, is
-byte-identical for a fixed BLAS thread count only; levels 0-4 keep the
-splu bytes.
+The interior system has one solve path: a smoothed-aggregation hierarchy
+(3x3 blocks of lattice coordinates as aggregates, two damped-Jacobi sweeps
+on each side of the coarse correction) whose coarsest matrix splu
+factorizes.  Up to DIRECT_SOLVE_LIMIT interior vertices (levels 0-4) the
+hierarchy is empty and that factorization is the solve; beyond it (levels 5
+and 6) one V-cycle preconditions CG under the same residual check.  CG takes
+11-12 iterations, at level 5 a fraction of the time a direct splu takes, as
+the fill of the factorization grows faster than the system.  A CG result
+differs from the direct one by roundoff and, through the BLAS reductions
+inside CG, is byte-identical for a fixed BLAS thread count only; levels 0-4
+keep the splu bytes.
 
 Boundary data is checked in one place, `BoundaryData`, which wants
 3 * 4**level finite values; `harmonic_extend` wraps a copy of an array in
@@ -44,9 +44,10 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 from .lattice import Mesh, _lex_keys, boundary_cycle, boundary_hop_distance
 from .operators import NumericalError, _edge_energies, assemble
 
-# between the level-4 (4,789) and level-5 (45,397) interior counts
-DIRECT_SOLVE_LIMIT = 10000
-COARSE_SOLVE_LIMIT = 3000
+# at least the level-4 interior count (4,789), so levels 0-4 solve directly,
+# and below the level-5 first coarse size (5,300), so the level-5 and level-6
+# hierarchies keep their levels and their 682-row coarsest matrix
+DIRECT_SOLVE_LIMIT = 5000
 # the smoothed-aggregation weight 4 / (3 rho) for rho(D^-1 A) = 1.5, its
 # value on the finest level of the snowflake hierarchy (1.57 at most on the
 # coarser ones; the tests check w rho < 2)
@@ -105,16 +106,18 @@ def _as_values(mesh: Mesh, f) -> np.ndarray:
     return f.values
 
 
-def _multigrid(A: sparse.csr_matrix, points: np.ndarray) -> LinearOperator:
-    """One smoothed-aggregation V-cycle as an approximate inverse of the SPD
-    matrix A, whose rows sit at the integer lattice `points`.
+def _hierarchy(A: sparse.csr_matrix, points: np.ndarray
+               ) -> tuple[list, sparse.csr_matrix]:
+    """The levels (matrix, Jacobi weights, prolongator; finest first) of a
+    smoothed-aggregation V-cycle for the SPD matrix A, whose rows sit at the
+    integer lattice `points`, and the coarsest matrix, which has at most
+    DIRECT_SOLVE_LIMIT rows.  A matrix that small has no level.
 
     Each level refines every triangle 3x3, so the aggregates are the 3x3
     blocks of lattice coordinates, on the fine points and again on the
     coarse ones.  With w = JACOBI_WEIGHT = 8/9, the prolongator is
-    P = (I - w D^-1 A) P_tent, the coarse operator the Galerkin product
-    P^T A P, and the hierarchy ends in one splu at COARSE_SOLVE_LIMIT
-    unknowns.  Two damped-Jacobi sweeps with the same weight run before the
+    P = (I - w D^-1 A) P_tent and the coarse operator the Galerkin product
+    P^T A P.  Two damped-Jacobi sweeps with the same weight run before the
     coarse correction and two after it, which keeps the cycle symmetric, as
     CG needs.  The weight is the smoothed-aggregation choice 4 / (3 rho) for
     rho(D^-1 A) = 1.5: on the level-5 and level-6 hierarchies rho is 1.50
@@ -122,19 +125,8 @@ def _multigrid(A: sparse.csr_matrix, points: np.ndarray) -> LinearOperator:
     most 1.40 < 2, each sweep converges and the cycle is positive definite.
     CG then takes 11-12 iterations at levels 5 and 6.
     """
-    n = A.shape[0]
-    levels, coarsest = _hierarchy(A, points)
-    return LinearOperator((n, n), matvec=partial(_vcycle, levels,
-                                                 splu(coarsest.tocsc())),
-                          dtype=float)
-
-
-def _hierarchy(A: sparse.csr_matrix, points: np.ndarray
-               ) -> tuple[list, sparse.csr_matrix]:
-    """The levels (matrix, Jacobi weights, prolongator; finest first) of
-    _multigrid's V-cycle for A at `points`, and the coarsest matrix."""
     levels = []
-    while A.shape[0] > COARSE_SOLVE_LIMIT:
+    while A.shape[0] > DIRECT_SOLVE_LIMIT:
         blocks = points // 3
         _, first, agg = np.unique(_lex_keys(blocks)[2], return_index=True,
                                   return_inverse=True)
@@ -195,13 +187,14 @@ def harmonic_extend(mesh: Mesh, f) -> np.ndarray:
     S_II = rows[:, iidx]
     rhs = -(rows @ u)
 
-    if len(iidx) <= DIRECT_SOLVE_LIMIT:
-        # S_II is symmetric, so its transpose is a CSC view of S_II itself
-        u_int = splu(S_II.T).solve(rhs)
+    levels, coarsest = _hierarchy(S_II, mesh.vertices[iidx])
+    vcycle = partial(_vcycle, levels, splu(coarsest.tocsc()))
+    if not levels:
+        u_int = vcycle(rhs)
     else:
         u_int, info = cg(S_II, rhs, rtol=1e-13, atol=0.0,
                          maxiter=CG_MAXITER,
-                         M=_multigrid(S_II, mesh.vertices[iidx]))
+                         M=LinearOperator(S_II.shape, vcycle, dtype=float))
         if info != 0:
             raise NumericalError(
                 f"conjugate gradients did not converge (info={info})")

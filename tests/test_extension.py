@@ -1,9 +1,10 @@
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, cg, eigsh
+from scipy.sparse.linalg import cg, eigsh, splu
 
 from snowlab import extension
 from snowlab.extension import (
@@ -249,24 +250,46 @@ def test_iterative_branch_matches_direct(level, pattern, monkeypatch):
     f = (alternating_boundary_data(mesh) if pattern == "alternating"
          else random_boundary_data(mesh, seed=level)).values
     direct = harmonic_extend(mesh, f)
-    monkeypatch.setattr(extension, "DIRECT_SOLVE_LIMIT", 0)
-    # a small coarse limit gives every level a multigrid hierarchy
-    monkeypatch.setattr(extension, "COARSE_SOLVE_LIMIT", 10)
+    # a small limit gives levels 2-4 a multigrid hierarchy; the single
+    # interior vertex of level 1 is under it and takes the direct path
+    monkeypatch.setattr(extension, "DIRECT_SOLVE_LIMIT", 10)
     u = harmonic_extend(mesh, f)
     assert np.abs(u - direct).max() <= 1e-10 * np.abs(f).max()
     _check_harmonic(mesh, f, u)
 
 
 def test_multigrid_is_symmetric(mesh3, monkeypatch):
-    monkeypatch.setattr(extension, "COARSE_SOLVE_LIMIT", 10)
+    monkeypatch.setattr(extension, "DIRECT_SOLVE_LIMIT", 10)
     iidx = mesh3.interior_vertices
     A = assemble(mesh3, "dirichlet").S
-    M = extension._multigrid(A, mesh3.vertices[iidx])
+    levels, coarsest = extension._hierarchy(A, mesh3.vertices[iidx])
+    assert levels
+    M = partial(extension._vcycle, levels, splu(coarsest.tocsc()))
     rng = np.random.default_rng(7)
     x, y = rng.standard_normal((2, len(iidx)))
-    xMy, yMx = x @ M.matvec(y), y @ M.matvec(x)
+    xMy, yMx = x @ M(y), y @ M(x)
     assert abs(xMy - yMx) <= 1e-12 * max(1.0, abs(xMy))
-    assert x @ M.matvec(x) > 0
+    assert x @ M(x) > 0
+
+
+# interior rows of each level's hierarchy (finest first) and of its coarsest
+# matrix: levels 0-4 solve directly, and the level-5 and level-6 hierarchies
+# coarsen to the same 682 rows
+HIERARCHY_SIZES = {
+    0: ([], 0), 1: ([], 1), 2: ([], 37), 3: ([], 469), 4: ([], 4789),
+    5: ([45397, 5300], 682),
+    6: ([417781, 47444, 5642], 682),
+}
+
+
+@pytest.mark.parametrize("level", sorted(HIERARCHY_SIZES))
+def test_solve_path_per_level(level):
+    mesh = build_mesh(level)
+    levels, coarsest = extension._hierarchy(
+        assemble(mesh, "dirichlet").S, mesh.vertices[mesh.interior_vertices])
+    sizes, coarse = HIERARCHY_SIZES[level]
+    assert [B.shape[0] for B, _, _ in levels] == sizes
+    assert coarsest.shape == (coarse, coarse)
 
 
 def _count_cg_iterations(monkeypatch) -> list:
@@ -318,11 +341,7 @@ def test_level6_multigrid_cg(pattern, monkeypatch):
 def test_cg_iterations_bounded(monkeypatch):
     # without a working preconditioner CG stops at CG_MAXITER and raises
     mesh = build_mesh(5)
-    n = mesh.num_interior_vertices
-    monkeypatch.setattr(
-        extension, "_multigrid",
-        lambda A, points: LinearOperator((n, n), matvec=lambda r: r,
-                                         dtype=float))
+    monkeypatch.setattr(extension, "_vcycle", lambda levels, coarse, r: r)
     iterations = _count_cg_iterations(monkeypatch)
     with pytest.raises(NumericalError, match="did not converge"):
         harmonic_extend(mesh, alternating_boundary_data(mesh))
