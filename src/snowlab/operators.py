@@ -99,18 +99,25 @@ def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
     diagonal, on it, then above it, and every row comes out of the stable
     conversion to CSR already sorted; slicing rows and then columns by
     ascending index arrays keeps that.  The full kind is S and m as built;
-    the other kinds take the rows and columns of S and the entries of m at
-    their vertices.
+    the Dirichlet kind takes the rows and columns of S and the entries of m
+    at its vertices.  The boundary kind builds S on the boundary vertices
+    alone, from the boundary edges renumbered to boundary positions: the
+    renumbering ascends, so the edges stay lex-sorted pairs with i < j.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
-    n = mesh.num_vertices
-    edge_set = mesh.edge_is_boundary if kind == "boundary" else slice(None)
-    c = edge_conductances(mesh, c0)[edge_set]
+    n, c, edges = mesh.num_vertices, edge_conductances(mesh, c0), mesh.edges
+    vmap = np.arange(n)
+    if kind == "dirichlet":
+        vmap = mesh.interior_vertices
+    elif kind == "boundary":
+        vmap = mesh.boundary_vertices
+        keep = np.flatnonzero(mesh.edge_is_boundary)
+        n, c, edges = len(vmap), c[keep], np.searchsorted(vmap, edges[keep])
     # the edge ends in the int32 index type of the CSR results whenever it
     # fits, as the index arrays set the memory peak of assembly
-    i, j = mesh.edges[edge_set].T.astype(np.int32 if n < 2**31 else np.int64)
+    i, j = edges.T.astype(np.int32 if n < 2**31 else np.int64)
     diag = np.zeros(n)
     np.add.at(diag, i, c)
     np.add.at(diag, j, c)
@@ -120,13 +127,12 @@ def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
         (np.concatenate([off, 2.0 * diag, off]),
          (np.concatenate([j, ids, i]), np.concatenate([i, ids, j]))),
         shape=(n, n)).tocsr()
+    if kind == "dirichlet":
+        S = S[vmap][:, vmap]
     m, inv_m = _mass_vectors(mesh)
-    vmap, points = np.arange(n), mesh.vertices
+    points = mesh.vertices
     if kind != "full":
-        vmap = (mesh.boundary_vertices if kind == "boundary"
-                else mesh.interior_vertices)
-        S, m, inv_m = S[vmap][:, vmap], m[vmap], inv_m[vmap]
-        points = mesh.vertices[vmap]
+        m, inv_m, points = m[vmap], inv_m[vmap], mesh.vertices[vmap]
     return OperatorBundle(kind=kind, level=mesh.level, c0=c0, S=S, m=m,
                           inv_m=inv_m, vertex_map=vmap, lattice_points=points)
 

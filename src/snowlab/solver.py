@@ -33,11 +33,17 @@ return irrep tags and order equal eigenvalues the same way.
 
 Both finish the block eigenvectors in one pass, a cache-sized chunk of
 columns at a time, with the same floating-point operations per column
-whatever the chunk width.
+whatever the chunk width.  The chunks of an irrep row with more than
+EVD_MIN_ROWS block eigenpairs (the level-4 full and Dirichlet eig_full
+rows) are shared by two threads; the others, every ARPACK window among
+them, finish in the calling thread.  One thread finishes each column
+whole and writes it to its own place, so the bytes do not depend on the
+scheduling.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -168,28 +174,42 @@ def _spectrum(op: OperatorBundle, solved: list, window: slice,
     m, S = op.m, op.S
     Phi = np.empty((op.dimension, len(order)), order="F")
     residuals = np.empty(len(order))
+
+    def finish(Q, Y, part, cols):
+        # errstate is per thread: a pool worker does not inherit the caller's
+        with np.errstate(invalid="ignore"):
+            # column-major, so the norm below sums each column contiguously
+            P = np.multiply(d_back[:, None], Q @ Y[:, part], order="F")
+            # back-transform preserves the m-norm of unit vectors;
+            # renormalize to absorb roundoff
+            P /= np.sqrt(np.sum(m[:, None] * P * P, axis=0))
+            A = np.abs(P)
+            lead = np.argmax(A >= (A.max(axis=0) - SIGN_TIE_TOL), axis=0)
+            P *= np.where(P[lead, np.arange(len(part))] < 0.0, -1.0, 1.0)
+            # column-major: a max down a few row-major columns is slow
+            R = np.subtract(S @ P, (m[:, None] * P) * w[cols], order="F")
+            residuals[cols] = np.max(np.abs(R), axis=0)
+            Phi[:, cols] = P
+
+    # a row with more than EVD_MIN_ROWS pairs (a level-4 eig_full row)
+    # finishes on two threads; the others stay in this one: a worker's
+    # temporaries live in its own malloc arena, and pooling every row
+    # raised the peak RSS of the level-3 CLI commands by 7 %
+    pooled, inline, lo = [], [], 0
     width = chunk_columns(op.dimension)
-    lo = 0
-    with np.errstate(invalid="ignore"):
-        for _, Q, wb, Y in solved:
-            col = column[lo:lo + len(wb)]
-            lo += len(wb)
-            kept = np.flatnonzero(col >= 0)
-            for a in range(0, len(kept), width):
-                part = kept[a:a + width]
-                cols = col[part]
-                # column-major, so the norm below sums each column contiguously
-                P = np.multiply(d_back[:, None], Q @ Y[:, part], order="F")
-                # back-transform preserves the m-norm of unit vectors;
-                # renormalize to absorb roundoff
-                P /= np.sqrt(np.sum(m[:, None] * P * P, axis=0))
-                A = np.abs(P)
-                lead = np.argmax(A >= (A.max(axis=0) - SIGN_TIE_TOL), axis=0)
-                P *= np.where(P[lead, np.arange(len(part))] < 0.0, -1.0, 1.0)
-                # column-major: a max down a few row-major columns is slow
-                R = np.subtract(S @ P, (m[:, None] * P) * w[cols], order="F")
-                residuals[cols] = np.max(np.abs(R), axis=0)
-                Phi[:, cols] = P
+    for _, Q, wb, Y in solved:
+        col = column[lo:lo + len(wb)]
+        lo += len(wb)
+        kept = np.flatnonzero(col >= 0)
+        jobs = pooled if Y.shape[1] > EVD_MIN_ROWS else inline
+        for a in range(0, len(kept), width):
+            part = kept[a:a + width]
+            jobs.append((Q, Y, part, col[part]))
+    if pooled:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(finish, *zip(*pooled)))
+    for job in inline:
+        finish(*job)
 
     bound = RESIDUAL_TOL * np.maximum(1.0, w)
     bad = np.flatnonzero(~(residuals <= bound))

@@ -149,8 +149,12 @@ def irrep_blocks(op: OperatorBundle) -> list[IrrepBlock]:
     if perms is None:
         return [IrrepBlock(TRIVIAL_TAG, sparse.identity(d, format="csr"))]
 
-    # each vertex's orbit, numbered by its smallest row, the representative p
-    reps, orbit = np.unique(perms.min(axis=0), return_inverse=True)
+    # each vertex's orbit, numbered by its smallest row, the representative
+    # p: a representative is its own smallest row, so counting them in row
+    # order numbers the orbits
+    rep = perms.min(axis=0)
+    mask = rep == np.arange(d)
+    reps, orbit = np.flatnonzero(mask), (np.cumsum(mask) - 1)[rep]
     free = np.bincount(orbit) == GROUP_ORDER
     hits = perms[:, reps].ravel()
     del perms  # free the (12, d) table before the per-irrep loop

@@ -1,4 +1,7 @@
 import functools
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -497,6 +500,81 @@ def test_evd_threshold_spares_pinned_levels(op4_full, op4_dir, mesh4):
                    for blk in irrep_blocks(op)), (op.level, op.kind)
     for op in (op4_full, op4_dir):
         assert all(blk.size > solver.EVD_MIN_ROWS for blk in irrep_blocks(op))
+
+
+def spy_on_pools(monkeypatch):
+    """Record the worker count of every thread pool the fused pass starts."""
+    started = []
+
+    def pool(max_workers):
+        started.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(solver, "ThreadPoolExecutor", pool)
+    return started
+
+
+def test_pool_only_for_evd_rows(op4_full, spec4_full, monkeypatch):
+    # the pinned level 0-3 bytes, and the memory of the small and the
+    # level-5 windowed solves, come from the one-thread pass
+    started = spy_on_pools(monkeypatch)
+    for level, kind in ORACLE_CASES:
+        op = assemble(build_mesh(level), kind)
+        eig_full(op)
+        for which in ("smallest", "largest"):
+            eig_partial(op, min(8, op.dimension), which=which)
+    mesh5 = build_mesh(5)
+    for kind in ("full", "dirichlet"):
+        eig_partial(assemble(mesh5, kind), 8)
+    assert started == []
+    # the level-4 evd rows finish on two threads, with the same bytes
+    # however often the workers trade the interpreter lock
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        spec = eig_full(op4_full)
+    finally:
+        sys.setswitchinterval(interval)
+    assert started == [2]
+    assert_same_bytes(spec, spec4_full)
+
+
+def test_pooled_residual_error_matches_two_pass(op4_dir, monkeypatch):
+    started = spy_on_pools(monkeypatch)
+    calls = spy_on_blocks(monkeypatch)
+    monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-30)
+    with pytest.raises(NumericalError) as fused:
+        eig_full(op4_dir)
+    assert started == [2]
+    message = str(fused.value)
+    del fused  # its traceback holds the fused pass's (d, d) result
+    with pytest.raises(NumericalError) as ref:
+        _merge(*calls[0])
+    assert message == str(ref.value)
+    assert "residuals above tolerance; first at pair" in message
+
+
+@pytest.mark.parametrize("value", (np.nan, 0.0))
+def test_pooled_bad_column_raises_without_warning(value, op4_dir,
+                                                  monkeypatch):
+    # a NaN column, or a zero one whose normalization is 0/0, fails the
+    # residual check in a pool worker, which does not inherit the caller's
+    # np.errstate
+    block_eigh = solver._block_eigh
+
+    def corrupted(A):
+        w, Y = block_eigh(A)
+        Y[:, 3] = value
+        return w, Y
+
+    monkeypatch.setattr(solver, "_block_eigh", corrupted)
+    started = spy_on_pools(monkeypatch)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match="residuals above tolerance; first at pair"):
+            eig_full(op4_dir)
+    assert started == [2]
 
 
 @pytest.mark.parametrize("call", ("full", "smallest", "largest"))
