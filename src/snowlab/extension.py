@@ -1,13 +1,13 @@
 """Discretely harmonic extension of boundary data and its diagnostics.
 
-The extension of f solves the interior rows of the stiffness system S of
-the full operator, S_II u_I = -S_IB f, so (L u)(p) = 0 at every interior
-vertex p; S_II and S_IB are those rows in the interior and the boundary
-columns.  Edges incident to an interior vertex are always interior edges
-(boundary edges join two boundary vertices), so the rows hold the exact
-integers -2 and 2 * degree whatever the boundary coupling c0 is: the
-extension takes no c0, and the energy bookkeeping around it (energy_split)
-does.
+The extension of f solves S_II u_I = -S_IB f, so (L u)(p) = 0 at every
+interior vertex p: S_II is the S of the Dirichlet operator, and the
+right-hand side is the interior rows of the full operator's S applied to
+f on the boundary (zero inside).  Edges incident to an interior vertex are
+always interior edges (boundary edges join two boundary vertices), so
+those rows hold the exact integers -2 and 2 * degree whatever the boundary
+coupling c0 is: the extension takes no c0, and the energy bookkeeping
+around it (energy_split) does.
 
 The interior block is positive definite, so the extension exists and is
 unique, is linear in f, satisfies the discrete maximum principle (each
@@ -181,11 +181,11 @@ def harmonic_extend(mesh: Mesh, f) -> np.ndarray:
     if len(iidx) == 0:
         return u
 
-    # the interior rows of the full S, the same for any c0 (no boundary edge
-    # meets them); u is zero inside, so rows @ u sums the columns S_IB f
-    rows = assemble(mesh).S[iidx]
-    S_II = rows[:, iidx]
-    rhs = -(rows @ u)
+    # S_II is the Dirichlet operator, the same for any c0 (no boundary edge
+    # meets an interior vertex); u is zero inside, so the full S applied to
+    # u sums, in each interior row, the columns S_IB f
+    rhs = -(assemble(mesh).S @ u)[iidx]
+    S_II = assemble(mesh, "dirichlet").S
 
     levels, coarsest = _hierarchy(S_II, mesh.vertices[iidx])
     vcycle = partial(_vcycle, levels, splu(coarsest.tocsc()))

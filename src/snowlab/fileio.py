@@ -270,5 +270,5 @@ def config_hash(config: dict) -> str:
 def write_metadata(config: dict, path: str | Path) -> None:
     """Reproducibility sidecar: tool version plus the hashed run config."""
     obj = {"tool": "snowlab", "version": __version__,
-           "config_hash": config_hash(config), "config": _plain(config)}
+           "config_hash": config_hash(config), "config": config}
     write_json(obj, path)

@@ -14,12 +14,12 @@ assembled as L = M^-1 S with S_pq = -2 c(p, q), S_pp = 2 sum_q c(p, q).
 With this pairing convention <L u, u>_m = 2 E_n(u).  L is positive
 semidefinite; eigenvalues are reported nonnegative.
 
-Each operator kind is the rows and columns of S at its vertices, with S
-built once from the kind's edges (so a kept vertex's diagonal counts all its
-edges, edges to dropped vertices included).  The kinds:
+Each operator kind is S built from the kind's edges on the kind's own
+vertices (so a kept vertex's diagonal counts all its edges, edges to
+dropped vertices included).  The kinds:
   full       all vertices, all edges: S and m as built;
-  dirichlet  interior vertices, all edges: the full S and m with boundary
-             rows and columns deleted (zero boundary conditions);
+  dirichlet  interior vertices, all edges: equal to the full S and m with
+             boundary rows and columns deleted (zero boundary conditions);
   boundary   boundary vertices, boundary edges only (the weighted cycle
              graph carried by the snowflake polygon).
 
@@ -91,48 +91,48 @@ def _mass_vectors(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
     """Assemble the stiffness/mass pair for the requested operator kind.
 
-    S is built once from the kind's edges, in vertex order: -2c off the
-    diagonal, and on it 2 * the sum of c over every edge at the vertex,
-    summed in edge order, all first ends and then all second ends, which
-    fixes how inexact conductances (c0 not dyadic) round.  Mesh edges are
-    lex-sorted pairs with i < j, so the entries are listed below the
-    diagonal, on it, then above it, and every row comes out of the stable
-    conversion to CSR already sorted; slicing rows and then columns by
-    ascending index arrays keeps that.  The full kind is S and m as built;
-    the Dirichlet kind takes the rows and columns of S and the entries of m
-    at its vertices.  The boundary kind builds S on the boundary vertices
-    alone, from the boundary edges renumbered to boundary positions: the
-    renumbering ascends, so the edges stay lex-sorted pairs with i < j.
+    S is built from the kind's edges: -2c off the diagonal, and on it 2 *
+    the sum of c over every edge at the vertex, summed on all mesh vertices
+    in edge order, all first ends and then all second ends, which fixes how
+    inexact conductances (c0 not dyadic) round.  The full kind is S and m
+    as built from all edges.  The Dirichlet kind (all edges) and the
+    boundary kind (boundary edges) keep the edges whose two ends are both
+    their vertices, renumbered through one position map, and the diagonal
+    and m at those vertices.  Mesh edges are lex-sorted pairs with i < j and
+    the renumbering ascends, so the kept edges stay so; the entries are
+    listed below the diagonal, on it, then above it, and every row comes
+    out of the stable conversion to CSR already sorted.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
     n, c, edges = mesh.num_vertices, edge_conductances(mesh, c0), mesh.edges
     vmap = np.arange(n)
-    if kind == "dirichlet":
-        vmap = mesh.interior_vertices
-    elif kind == "boundary":
-        vmap = mesh.boundary_vertices
-        keep = np.flatnonzero(mesh.edge_is_boundary)
-        n, c, edges = len(vmap), c[keep], np.searchsorted(vmap, edges[keep])
+    if kind == "boundary":
+        c, edges = c[mesh.edge_is_boundary], edges[mesh.edge_is_boundary]
     # the edge ends in the int32 index type of the CSR results whenever it
     # fits, as the index arrays set the memory peak of assembly
     i, j = edges.T.astype(np.int32 if n < 2**31 else np.int64)
     diag = np.zeros(n)
     np.add.at(diag, i, c)
     np.add.at(diag, j, c)
+    if kind != "full":
+        vmap = (mesh.interior_vertices if kind == "dirichlet"
+                else mesh.boundary_vertices)
+        pos = np.full(n, -1, dtype=i.dtype)
+        pos[vmap] = np.arange(len(vmap), dtype=i.dtype)
+        i, j = pos[i], pos[j]
+        keep = (i >= 0) & (j >= 0)
+        n, c, i, j, diag = len(vmap), c[keep], i[keep], j[keep], diag[vmap]
     ids = np.arange(n, dtype=i.dtype)
     off = -2.0 * c
     S = sparse.coo_matrix(
         (np.concatenate([off, 2.0 * diag, off]),
          (np.concatenate([j, ids, i]), np.concatenate([i, ids, j]))),
         shape=(n, n)).tocsr()
-    if kind == "dirichlet":
-        S = S[vmap][:, vmap]
-    m, inv_m = _mass_vectors(mesh)
-    points = mesh.vertices
+    m, inv_m, points = *_mass_vectors(mesh), mesh.vertices
     if kind != "full":
-        m, inv_m, points = m[vmap], inv_m[vmap], mesh.vertices[vmap]
+        m, inv_m, points = m[vmap], inv_m[vmap], points[vmap]
     return OperatorBundle(kind=kind, level=mesh.level, c0=c0, S=S, m=m,
                           inv_m=inv_m, vertex_map=vmap, lattice_points=points)
 

@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +235,47 @@ def test_direct_extension_pinned(level, monkeypatch):
                             mesh.num_interior_vertices)
     u = harmonic_extend(mesh, alternating_boundary_data(mesh))
     assert hashlib.sha256(u.tobytes()).hexdigest() == EXTENSION_DIGESTS[level]
+
+
+# SHA-256 of the CG extensions at one OpenBLAS thread, recorded before the
+# interior system was assembled as the Dirichlet operator.  CG's inner
+# products run in the BLAS, so the bytes hold for this thread count only.
+CG_DIGESTS_ONE_THREAD = {
+    "5 alternating":
+        "498387149088786d05f977d0c04e938aeedb6af2bbefa6415795a5b02d6fd0bc",
+    "5 random 3":
+        "e99e85e6c6ad3a37bb0a037fdd73ab96a977bcad67036a4a7e88c29ce5e96478",
+    "6 alternating":
+        "6e8340a4da66eab775bb6efdd0e44c14556681c99e15988196f787805b0356f0",
+}
+
+CG_DIGEST_SCRIPT = """
+import hashlib
+from snowlab.extension import (
+    alternating_boundary_data, harmonic_extend, random_boundary_data)
+from snowlab.lattice import build_mesh
+for level in (5, 6):
+    mesh = build_mesh(level)
+    data = {"alternating": alternating_boundary_data(mesh)}
+    if level == 5:
+        data["random 3"] = random_boundary_data(mesh, 3)
+    for name, f in data.items():
+        u = harmonic_extend(mesh, f)
+        print(level, name, "=", hashlib.sha256(u.tobytes()).hexdigest())
+"""
+
+
+def test_cg_extension_pinned_at_one_thread():
+    # a child process, as the BLAS reads its thread count when it loads
+    src = str(Path(extension.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", CG_DIGEST_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    got = dict(line.split(" = ") for line in proc.stdout.splitlines())
+    assert got == CG_DIGESTS_ONE_THREAD
 
 
 def _check_harmonic(mesh, f, u):

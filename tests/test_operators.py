@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from conftest import traced_memory
 from snowlab import operators, solver
 from snowlab.extension import (
     energy_split,
@@ -266,6 +267,15 @@ def test_dirichlet_kind_is_interior_block(level, c0):
     mesh = cached_mesh(level)
     assert_same_csr(assemble(mesh, "dirichlet", c0).S,
                     reference_interior_blocks(mesh)[0])
+
+
+def test_dirichlet_kind_builds_no_full_matrix():
+    # the Dirichlet S is built on the interior vertices alone, never sliced
+    # out of the full S, so its assembly peaks no higher than the full one
+    mesh = cached_mesh(5)
+    dirichlet, _ = traced_memory(lambda: assemble(mesh, "dirichlet"))
+    full, _ = traced_memory(lambda: assemble(mesh, "full"))
+    assert dirichlet <= 1.1 * full
 
 
 @pytest.mark.parametrize("level", range(5))
