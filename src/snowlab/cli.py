@@ -384,12 +384,8 @@ def _fail(slug: str, exc: BaseException, code: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        cfg = RunConfig(**vars(parser.parse_args(argv)))
-    except CLIUsageError as exc:
-        return _fail("usage", exc, 2)
-    try:
+        cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
         _execute(cfg, Pipeline(cfg.level, cfg.c0))
     except CLIUsageError as exc:
         return _fail("usage", exc, 2)

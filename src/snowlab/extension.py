@@ -177,17 +177,18 @@ def harmonic_extend(mesh: Mesh, f) -> np.ndarray:
     vals = _as_values(mesh, f)
     u = np.zeros(mesh.num_vertices)
     u[mesh.boundary_vertices] = vals
-    iidx = mesh.interior_vertices
+    # the Dirichlet operator holds the interior system: its rows, its S (the
+    # same for any c0, as no boundary edge meets an interior vertex) and its
+    # lattice points; a mesh with no interior vertex has nothing to solve
+    inner = assemble(mesh, "dirichlet")
+    iidx, S_II = inner.vertex_map, inner.S
     if len(iidx) == 0:
         return u
-
-    # S_II is the Dirichlet operator, the same for any c0 (no boundary edge
-    # meets an interior vertex); u is zero inside, so the full S applied to
-    # u sums, in each interior row, the columns S_IB f
+    # u is zero inside, so the full S applied to u sums, in each interior
+    # row, the columns S_IB f
     rhs = -(assemble(mesh).S @ u)[iidx]
-    S_II = assemble(mesh, "dirichlet").S
 
-    levels, coarsest = _hierarchy(S_II, mesh.vertices[iidx])
+    levels, coarsest = _hierarchy(S_II, inner.lattice_points)
     vcycle = partial(_vcycle, levels, splu(coarsest.tocsc()))
     if not levels:
         u_int = vcycle(rhs)
@@ -220,10 +221,7 @@ def energy_split(mesh: Mesh, u: np.ndarray, c0: float = 1.0
 def decay_profile(mesh: Mesh, u: np.ndarray) -> list[tuple[int, float]]:
     """Sup of |u| over interior vertices, grouped by graph hop distance to
     the nearest boundary vertex (distance 1 is the first interior shell)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (mesh.num_vertices,):
-        raise ValueError(
-            f"vector has shape {u.shape}, mesh has {mesh.num_vertices} vertices")
+    u = mesh.vertex_values(u)
     dist = boundary_hop_distance(mesh)
     inner = dist > 0  # not the boundary (0) nor a vertex it misses (-1)
     # no shell is empty: a vertex at d >= 1 has a neighbor at d - 1

@@ -115,15 +115,15 @@ def write_mesh_json(mesh: Mesh, path: str | Path) -> None:
 # -- operator --------------------------------------------------------------
 
 def write_matrix_market(S: sp.spmatrix, path: str | Path) -> None:
-    """Lower triangle of a symmetric sparse matrix, 1-based, column-major."""
+    """Lower triangle of a symmetric sparse matrix, 1-based, column-major:
+    the CSC form of the triangle lists each column's rows in order."""
     d = S.shape[0]
     if S.shape[1] != d:
         raise ValueError(f"matrix not square: {S.shape}")
-    low = sp.tril(S, format="coo")
-    order = np.lexsort((low.row, low.col))
-    _write_table(path, f"{MM_HEADER}\n{d} {d} {low.nnz}",
-                 low.row[order] + 1, low.col[order] + 1,
-                 low.data[order].astype(np.float64, copy=False), sep=" ")
+    low = sp.tril(S, format="csc")
+    _write_table(path, f"{MM_HEADER}\n{d} {d} {low.nnz}", low.indices + 1,
+                 np.repeat(np.arange(1, d + 1), np.diff(low.indptr)),
+                 low.data.astype(np.float64, copy=False), sep=" ")
 
 
 def write_mass_csv(m: np.ndarray, path: str | Path) -> None:
@@ -201,9 +201,7 @@ def write_localization_csv(report: LocalizationReport, path: str | Path) -> None
 def write_contour_csv(mesh: Mesh, phi: np.ndarray, eps: float,
                       path: str | Path) -> None:
     """Per-vertex sign classes of one full-mesh vector, with xy coordinates."""
-    phi = np.asarray(phi, dtype=np.float64)
-    if phi.shape != (mesh.num_vertices,):
-        raise ValueError(f"vector length {phi.shape} does not cover the mesh")
+    phi = mesh.vertex_values(phi)
     xy = cartesian_coordinates(mesh)
     _write_table(path, "vertex,x,y,value,class", np.arange(mesh.num_vertices),
                  xy[:, 0], xy[:, 1], phi,

@@ -109,6 +109,14 @@ class Mesh:
     def interior_vertices(self) -> np.ndarray:
         return np.flatnonzero(~self.boundary_flags)
 
+    def vertex_values(self, u) -> np.ndarray:
+        """u as float64, one value per vertex; ValueError if it is not."""
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.num_vertices,):
+            raise ValueError(f"vector has shape {u.shape}, mesh has "
+                             f"{self.num_vertices} vertices")
+        return u
+
     def degrees(self) -> np.ndarray:
         """Vertex degrees in the edge graph."""
         return np.bincount(self.edges.ravel(), minlength=self.num_vertices)

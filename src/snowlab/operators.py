@@ -155,10 +155,7 @@ def _edge_energies(mesh: Mesh, u: np.ndarray, c0: float,
     """The sum of c(p, q) (u(p) - u(q))^2 over the edges that each part
     (an index into mesh.edges) selects.  Where c0 * 4**n or the data
     overflows a product or a sum, NumericalError, with no NumPy warning."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (mesh.num_vertices,):
-        raise ValueError(
-            f"vector has shape {u.shape}, mesh has {mesh.num_vertices} vertices")
+    u = mesh.vertex_values(u)
     c = edge_conductances(mesh, c0)
     d = u[mesh.edges[:, 0]] - u[mesh.edges[:, 1]]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -266,6 +267,17 @@ def test_pair_eigenvectors_needs_interior_rows(spec2_full, mesh2):
         pair_eigenvectors(spec2_full, spec_bd, mesh2)
     with pytest.raises(AnalysisError, match="^a spectrum has no interior"):
         pair_eigenvectors(spec_bd, spec_bd, mesh2)
+
+
+def test_pair_eigenvectors_needs_the_same_interior_rows(spec2_full, spec2_dir,
+                                                        mesh2):
+    # one interior row fewer: the overlaps would pair different vertices
+    short = dataclasses.replace(spec2_dir,
+                                eigenvectors=spec2_dir.eigenvectors[1:],
+                                vertex_map=spec2_dir.vertex_map[1:])
+    with pytest.raises(AnalysisError,
+                       match="^spectra cover different interior vertex sets"):
+        pair_eigenvectors(spec2_full, short, mesh2)
 
 
 def test_contour_classes():

@@ -10,7 +10,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import cg, eigsh, splu
 
-from snowlab import extension
+from snowlab import extension, fileio
 from snowlab.extension import (
     BoundaryData,
     alternating_boundary_data,
@@ -164,6 +164,20 @@ def test_alternating_decay_profile(mesh3):
     assert sups[0] > sups[1] > sups[2]
     with pytest.raises(ValueError, match="^vector has shape"):
         decay_profile(mesh3, u[:-1])
+
+
+@pytest.mark.parametrize("call", [
+    energy, energy_split, decay_profile,
+    lambda mesh, u: fileio.write_contour_csv(mesh, u, 0.01, os.devnull)],
+    ids=["energy", "energy_split", "decay_profile", "write_contour_csv"])
+def test_vector_entry_points_share_the_mesh_check(mesh1, call):
+    # every function that takes one value per mesh vertex checks it the
+    # same way, Mesh.vertex_values, before it computes or writes anything
+    for n in (mesh1.num_vertices - 1, mesh1.num_vertices + 1):
+        with pytest.raises(ValueError, match=rf"^vector has shape \({n},\), "
+                                             rf"mesh has {mesh1.num_vertices} "
+                                             rf"vertices$"):
+            call(mesh1, np.ones(n))
 
 
 def per_shell_decay_profile(mesh, u):

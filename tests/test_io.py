@@ -10,6 +10,7 @@ from conftest import read_csv, read_json, read_mesh, read_mtx, read_snwv
 
 from snowlab import fileio, solver
 from snowlab.lattice import build_mesh, validate
+from snowlab.operators import assemble
 from snowlab.solver import NORMALIZATION, SIGN_RULE
 
 
@@ -124,6 +125,30 @@ def test_matrix_market_lower_triangle_only(op2_full, tmp_path):
     for line in lines:
         i, j, _ = line.split()
         assert int(i) >= int(j)
+
+
+@pytest.mark.parametrize("kind", ["full", "dirichlet", "boundary"])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_matrix_market_round_trips_every_kind(level, kind, tmp_path):
+    S = assemble(build_mesh(level), kind, c0=0.37).S
+    path = tmp_path / "S.mtx"
+    fileio.write_matrix_market(S, path)
+    back = read_mtx(path)
+    assert back.shape == S.shape and abs(back - S).max() == 0.0
+
+
+def test_matrix_market_writes_the_lower_triangle_by_column(tmp_path):
+    # a non-symmetric matrix writes its own lower triangle, column by
+    # column and each column's rows in order; the upper triangle is dropped
+    S = sparse.csr_matrix(np.array([[1.0, 9.0, 0.0, 9.0],
+                                    [2.0, 0.0, 9.0, 0.0],
+                                    [0.0, 4.0, 5.0, 9.0],
+                                    [3.0, 0.0, 6.0, 0.5]]))
+    path = tmp_path / "S.mtx"
+    fileio.write_matrix_market(S, path)
+    assert path.read_text().splitlines()[1:] == [
+        "4 4 7", "1 1 1.0", "2 1 2.0", "4 1 3.0", "3 2 4.0", "3 3 5.0",
+        "4 3 6.0", "4 4 0.5"]
 
 
 INDEXED_READERS = {"boundary": fileio.read_boundary_csv}

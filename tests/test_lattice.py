@@ -125,6 +125,16 @@ def test_validate_rejects_indices_too_wide_for_keys(mesh2):
         validate(bad)
 
 
+def test_lex_keys_reject_points_too_wide_for_int64():
+    # the span product (2**62 + 1)**2 reaches 2**63, so a key would wrap
+    with pytest.raises(ValueError, match="too wide for int64 keys"):
+        _lex_keys(np.array([[0, 0], [2**62, 2**62]]))
+    # (2**31 + 1)**2 stays below it: the largest key is 2**62 + 2**32
+    _, span, key = _lex_keys(np.array([[0, 0], [2**31, 2**31]]))
+    assert span.tolist() == [2**31 + 1] * 2
+    assert key.tolist() == [0, 2**62 + 2**32]
+
+
 def test_euler_characteristic():
     for level in range(5):
         mesh = build_mesh(level)
