@@ -125,14 +125,15 @@ def _two_segment_kink(w: np.ndarray) -> tuple[float, int, float, float]:
 
     Returns (kink lambda, 1-based kink rank, low slope, high slope); the
     kink point is the first point of the upper segment.  O(N) via the
-    prefix sums of `_line_sums`.
+    prefix sums of `_line_sums`.  With fewer than 2 * MIN_REGIME_POINTS
+    positive eigenvalues there is no fit: (NaN, 0, NaN, NaN).
     """
     rank = np.arange(1, len(w) + 1, dtype=float)
     pos = w > 0
     x, y = np.log(w[pos]), np.log(rank[pos])
     n = len(x)
     if n < 2 * MIN_REGIME_POINTS:
-        raise AnalysisError("too few positive eigenvalues for a kink fit")
+        return float("nan"), 0, float("nan"), float("nan")
 
     sums = _line_sums(x, y)
     splits = np.arange(MIN_REGIME_POINTS, n - MIN_REGIME_POINTS + 1)
@@ -169,13 +170,7 @@ def regime_threshold(specL: Spectrum, specLd: Spectrum) -> RegimeReport:
     index_star = max(1, below)
     nearest = float(specL.eigenvalues[index_star - 1])
 
-    try:
-        kink_lambda, kink_index, lo, hi = _two_segment_kink(specL.eigenvalues)
-    except AnalysisError:
-        # spectrum too small for a two-segment fit; the threshold fields
-        # above stay valid, the kink fields degrade to the degenerate state
-        kink_lambda, kink_index, lo, hi = (float("nan"), 0, float("nan"),
-                                           float("nan"))
+    kink_lambda, kink_index, lo, hi = _two_segment_kink(specL.eigenvalues)
     degenerate = (specL.count - below < MIN_REGIME_POINTS
                   or not np.isfinite(lo) or not np.isfinite(hi)
                   or abs(lo - hi) < 0.15)
@@ -286,7 +281,6 @@ class LocalizationReport:
     itself); rows sum to 1, and boundary_mass_fraction is column 0.
     """
 
-    level: int
     eigenvalues: np.ndarray         # (k,)
     distance_histogram: np.ndarray  # (k, max_distance + 1)
 
@@ -308,8 +302,7 @@ def localization_report(spec: Spectrum, mesh: Mesh) -> LocalizationReport:
     spectrum size.  Each column is summed on its own, in column-major
     layout, so the result does not depend on the chunk width.
     """
-    if spec.dimension != mesh.num_vertices or not np.array_equal(
-            spec.vertex_map, np.arange(mesh.num_vertices)):
+    if not np.array_equal(spec.vertex_map, np.arange(mesh.num_vertices)):
         raise AnalysisError("localization needs a spectrum on the full mesh")
 
     m, _ = _mass_vectors(mesh)
@@ -328,9 +321,8 @@ def localization_report(spec: Spectrum, mesh: Mesh) -> LocalizationReport:
         mass = m[:, None] * Phi * Phi
         hist[lo:hi] = (shell @ mass / mass.sum(axis=0)).T
 
-    return LocalizationReport(
-        level=mesh.level, eigenvalues=spec.eigenvalues.copy(),
-        distance_histogram=hist)
+    return LocalizationReport(eigenvalues=spec.eigenvalues.copy(),
+                              distance_histogram=hist)
 
 
 @dataclass(frozen=True)

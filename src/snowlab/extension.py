@@ -27,9 +27,10 @@ inside CG, is byte-identical for a fixed BLAS thread count only; levels 0-4
 keep the splu bytes.
 
 Boundary data is checked in one place, `BoundaryData`, which wants
-3 * 4**level finite values; `harmonic_extend` wraps a copy of an array in
-one, so a wrong length or a non-finite value is a ValueError before any
-solve.
+3 * 4**level finite values; `harmonic_extend` wraps a copy of the values it
+is given in one of the mesh's level, so a wrong length, a BoundaryData of
+another level (through the length: 3 * 4**a != 3 * 4**b for a != b) or a
+non-finite value is a ValueError before any solve.
 """
 
 from __future__ import annotations
@@ -96,16 +97,6 @@ def random_boundary_data(mesh: Mesh, seed: int = 0) -> BoundaryData:
                         values=rng.standard_normal(mesh.num_boundary_vertices))
 
 
-def _as_values(mesh: Mesh, f) -> np.ndarray:
-    if not isinstance(f, BoundaryData):
-        # a copy: BoundaryData makes its array read-only
-        f = BoundaryData(mesh.level, np.array(f, dtype=float))
-    elif f.level != mesh.level:
-        raise ValueError(
-            f"boundary data is level {f.level}, mesh is level {mesh.level}")
-    return f.values
-
-
 def _hierarchy(A: sparse.csr_matrix, points: np.ndarray
                ) -> tuple[list, sparse.csr_matrix]:
     """The levels (matrix, Jacobi weights, prolongator; finest first) of a
@@ -170,13 +161,15 @@ def harmonic_extend(mesh: Mesh, f) -> np.ndarray:
     Direct sparse factorization up to DIRECT_SOLVE_LIMIT interior vertices,
     multigrid-preconditioned conjugate gradients beyond (relative tolerance
     1e-13, at most CG_MAXITER iterations); either way the interior residual
-    is checked.  f is a BoundaryData of the mesh's level or an array of
-    boundary values; data that BoundaryData rejects raises ValueError, a
-    solve that does not converge or fails the residual check NumericalError.
+    is checked.  f is a BoundaryData or an array of boundary values; values
+    that BoundaryData rejects at the mesh's level raise ValueError, a solve
+    that does not converge or fails the residual check NumericalError.
     """
-    vals = _as_values(mesh, f)
+    # a copy: BoundaryData makes its array read-only
+    values = f.values if isinstance(f, BoundaryData) else f
+    f = BoundaryData(mesh.level, np.array(values, dtype=float))
     u = np.zeros(mesh.num_vertices)
-    u[mesh.boundary_vertices] = vals
+    u[mesh.boundary_vertices] = f.values
     # the Dirichlet operator holds the interior system: its rows, its S (the
     # same for any c0, as no boundary edge meets an interior vertex) and its
     # lattice points; a mesh with no interior vertex has nothing to solve

@@ -36,13 +36,12 @@ from .analysis import (
     contour_classes,
 )
 from .lattice import Mesh, cartesian_coordinates
-from .solver import NORMALIZATION, SIGN_RULE, Spectrum
+from .solver import NORMALIZATION, SIGN_RULE, Spectrum, chunk_columns
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real symmetric"
 VECTOR_MAGIC = b"SNWV"
 VECTOR_VERSION = 1
 VECTOR_HEADER = struct.Struct("<4sIQQ")  # magic, version, d, k
-WRITE_BLOCK_BYTES = 1 << 24
 TABLE_BLOCK_ROWS = 1 << 16
 
 
@@ -145,8 +144,8 @@ def write_vectors(values: np.ndarray, meta: dict, path: str | Path) -> Path:
     k*d little-endian float64 values, vector by vector.  `meta` holds
     exactly kind, level, c0, normalization and sign_rule, and the sidecar
     lists them in that order; a missing or an unexpected key raises
-    ValueError.  The payload is streamed in column blocks of about 16 MB,
-    with no copy at all for a column-major block.
+    ValueError.  The payload is streamed in blocks of `chunk_columns`
+    columns, with no copy at all for a column-major block.
     """
     keys = ("kind", "level", "c0", "normalization", "sign_rule")
     if set(meta) != set(keys):
@@ -161,7 +160,7 @@ def write_vectors(values: np.ndarray, meta: dict, path: str | Path) -> Path:
     path = Path(path)
     with path.open("wb") as f:
         f.write(VECTOR_HEADER.pack(VECTOR_MAGIC, VECTOR_VERSION, d, k))
-        step = max(1, WRITE_BLOCK_BYTES // (8 * max(d, 1)))
+        step = chunk_columns(max(d, 1))  # chunk_columns(0) divides by 0
         for lo in range(0, k, step):
             f.write(np.ascontiguousarray(arr[:, lo:lo + step].T, dtype="<f8"))
     sidecar = Path(str(path) + ".json")

@@ -60,9 +60,10 @@ DENSE_GUARD = 6000
 EVD_MIN_ROWS = 256
 RESIDUAL_TOL = 1e-8
 SIGN_TIE_TOL = 1e-12
-# bytes of each (d, c) temporary in the pass that finishes eigenpairs:
-# small enough for a chunk's temporaries to stay in cache, wide enough for
-# each sparse product to amortize its per-row cost
+# bytes of each (d, c) temporary in every blocked pass over eigenvector
+# columns (the finishing pass, localization, the bound check, the .snwv
+# writer): small enough to stay in cache, wide enough to amortize the
+# per-row cost of each sparse product
 CHUNK_BYTES = 512 * 1024
 
 SIGN_RULE = "largest-abs-entry-positive; ties within 1e-12 -> lowest index"

@@ -98,7 +98,8 @@ def rng():
 @pytest.fixture()
 def chunk_width(monkeypatch):
     """Set how many columns of d-row eigenvectors each chunked pass (the
-    solvers' finishing pass, the analysis passes) takes at a time."""
+    solvers' finishing pass, the analysis passes, the .snwv writer) takes
+    at a time."""
     def set_width(columns, d):
         monkeypatch.setattr(solver, "CHUNK_BYTES", 8 * d * columns)
         assert solver.chunk_columns(d) == columns

@@ -164,6 +164,23 @@ def test_regime_tiny_spectrum_degrades():
     assert rep.kink_degenerate
 
 
+def test_kink_fit_needs_twice_the_regime_points():
+    # the fit takes 2 * MIN_REGIME_POINTS positive eigenvalues; the leading
+    # zero does not count
+    def report(top):
+        return regime_threshold(stub(np.arange(0.0, top + 1)),
+                                stub([1.0], kind="dirichlet"))
+
+    short = report(19)
+    assert short.kink_index == 0
+    assert np.isnan(short.kink_lambda)
+    assert short.kink_degenerate
+    fit = report(20)
+    assert fit.kink_index == 12
+    assert np.isfinite(
+        [fit.kink_lambda, fit.kink_low_slope, fit.kink_high_slope]).all()
+
+
 def test_regime_validation():
     sL, sD = stub([1.0, 2.0]), stub([1.0], kind="dirichlet", level=3)
     with pytest.raises(AnalysisError):

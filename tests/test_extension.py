@@ -33,6 +33,14 @@ def test_boundary_data_validation(mesh2):
         harmonic_extend(mesh2, BoundaryData(level=1, values=np.ones(12)))
 
 
+def test_other_level_fails_the_length_check(mesh2):
+    # BoundaryData is the one check: data of another level has another
+    # length, as 3 * 4**a != 3 * 4**b for a != b
+    with pytest.raises(ValueError, match=r"^level 2 boundary data needs 48 "
+                       r"values, got shape \(12,\)$"):
+        harmonic_extend(mesh2, BoundaryData(level=1, values=np.ones(12)))
+
+
 def test_extend_copies_caller_array(mesh2):
     # BoundaryData makes its array read-only: the caller's must stay as it was
     f = np.linspace(-1.0, 1.0, mesh2.num_boundary_vertices)

@@ -215,11 +215,11 @@ def test_vectors_binary_layout(tmp_path):
 
 
 @pytest.mark.parametrize("order", ("F", "C"))
-def test_vectors_streamed_in_blocks(spec2_full, tmp_path, monkeypatch, order):
+def test_vectors_streamed_in_blocks(spec2_full, tmp_path, chunk_width, order):
     # several column blocks must give the bytes of one whole-array write
     arr = np.asarray(spec2_full.eigenvectors, order=order)
     d, k = arr.shape
-    monkeypatch.setattr(fileio, "WRITE_BLOCK_BYTES", 8 * d * 7)
+    chunk_width(7, d)
     meta = {"kind": "full", "level": 2, "c0": 1.0,
             "normalization": "x", "sign_rule": "y"}
     path = tmp_path / "v.snwv"
