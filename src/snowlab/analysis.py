@@ -342,12 +342,12 @@ class LandscapeVector:
 
 
 def landscape(op: OperatorBundle) -> LandscapeVector:
-    """u_i = sum_j |L_ij|, formed exactly.
+    """u_i = sum_j |L_ij|: inv_m, an exact integer, times the row sum of |S|.
 
-    The row sum of |S| is 4 * (sum of incident conductances), a sum of a
-    handful of exactly-represented values, and inv_m is an exact integer in
-    a double, so the product is exact (for c0 = 1 everything stays integer
-    and below 2**53).
+    Summed in column order, that row sum is 4 * the incident conductances,
+    or 12 + 2 * (number of interior neighbours) for the Dirichlet kind.  u
+    is exact where the sums are, as at c0 = 1; elsewhere a value can be 1
+    ulp off landscape_closed_forms (boundary bases, level 1 at c0 = 0.1).
     """
     row_abs = np.asarray(abs(op.S).sum(axis=1)).ravel()
     return LandscapeVector(kind=op.kind, level=op.level, c0=op.c0,

@@ -23,10 +23,9 @@ dropped vertices included).  The kinds:
   boundary   boundary vertices, boundary edges only (the weighted cycle
              graph carried by the snowflake polygon).
 
-Exactness notes: conductances and masses are dyadic/ternary rationals stored
-as doubles.  Powers of two (4**-n, 4**n) are exact; 9**-n is within 1 ulp;
-the exact integer reciprocals 9**n and 4**n are kept alongside m so row sums
-of |L| can be formed without any rounding at all.
+Exactness notes: 4**-n and 4**n are exact doubles and 9**-n is within 1
+ulp, so m comes with its exact integer reciprocals 9**n and 4**n.  Each S_pp
+rounds once, alike at all D6 images of a vertex (see assemble).
 """
 
 from __future__ import annotations
@@ -91,31 +90,32 @@ def _mass_vectors(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
     """Assemble the stiffness/mass pair for the requested operator kind.
 
-    S is built from the kind's edges: -2c off the diagonal, and on it 2 *
-    the sum of c over every edge at the vertex, summed on all mesh vertices
-    in edge order, all first ends and then all second ends, which fixes how
-    inexact conductances (c0 not dyadic) round.  The full kind is S and m
-    as built from all edges.  The Dirichlet kind (all edges) and the
-    boundary kind (boundary edges) keep the edges whose two ends are both
-    their vertices, renumbered through one position map, and the diagonal
-    and m at those vertices.  Mesh edges are lex-sorted pairs with i < j and
-    the renumbering ascends, so the kept edges stay so; the entries are
-    listed below the diagonal, on it, then above it, and every row comes
-    out of the stable conversion to CSR already sorted.
+    S is built from the kind's edges: -2c off the diagonal, and on it
+    2 (n_int + n_bd c0 4**n) from the integer counts of the kind's interior
+    and boundary edges at the vertex.  n_bd (2 or 0) times c0 4**n is exact,
+    so only the sum rounds, and all D6 images of a vertex get the same bits
+    at any c0.  The Dirichlet kind (all edges) and the boundary kind
+    (boundary edges) keep the edges with both ends among their vertices,
+    renumbered through one position map, and the diagonal and m there.  Mesh
+    edges are lex-sorted pairs with i < j and the renumbering ascends, so
+    the kept edges stay so; with the entries listed below, on, then above
+    the diagonal, every row leaves the stable CSR conversion sorted.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
     n, c, edges = mesh.num_vertices, edge_conductances(mesh, c0), mesh.edges
-    vmap = np.arange(n)
+    vmap, bd = np.arange(n), mesh.edge_is_boundary
     if kind == "boundary":
-        c, edges = c[mesh.edge_is_boundary], edges[mesh.edge_is_boundary]
+        c, edges, bd = c[bd], edges[bd], bd[bd]
     # the edge ends in the int32 index type of the CSR results whenever it
     # fits, as the index arrays set the memory peak of assembly
     i, j = edges.T.astype(np.int32 if n < 2**31 else np.int64)
-    diag = np.zeros(n)
-    np.add.at(diag, i, c)
-    np.add.at(diag, j, c)
+    diag = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    diag = diag.astype(float)  # the degrees, exact
+    # the product only at the n_bd > 0 ends v, as c0 4**n may overflow to inf
+    v, n_bd = np.unique(np.concatenate([i[bd], j[bd]]), return_counts=True)
+    diag[v] = (diag[v] - n_bd) + n_bd * (c0 * float(4 ** mesh.level))
     if kind != "full":
         vmap = (mesh.interior_vertices if kind == "dirichlet"
                 else mesh.boundary_vertices)

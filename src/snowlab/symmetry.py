@@ -106,9 +106,9 @@ class IrrepBlock:
 
 def vertex_permutations(op: OperatorBundle) -> np.ndarray | None:
     """(12, d) array: row g maps each operator row to the row of its image
-    under group element g.  None when the twelve maps do not permute the
-    operator's vertex set or do not leave S and m unchanged (level 0 has
-    only the threefold subgroup, whose centroid is not a lattice point).
+    under group element g.  None when the maps do not permute the rows or
+    keep S and m: at level 0, whose centroid is not a lattice point, and for
+    a bundle not built by `assemble` (D6-invariant at level >= 1, any c0).
     Each image is found by binary search among the rows' keys, which ascend
     as `assemble` lists the rows in lattice (lex) order, and confirmed by
     key equality, so rows in another order give None, never a wrong map.

@@ -7,7 +7,7 @@ from scipy import sparse
 from conftest import traced_memory
 
 from snowlab.lattice import build_mesh
-from snowlab.operators import assemble
+from snowlab.operators import KINDS, assemble
 from snowlab.solver import eig_full, symmetrize
 from snowlab.symmetry import (
     GROUP_ORDER,
@@ -282,6 +282,38 @@ def test_composed_permutations_none_when_not_invariant(op2_full, field):
     op = dataclasses.replace(op2_full, S=S, m=m)
     assert twelve_lookup_permutations(op) is None
     assert vertex_permutations(op) is None
+
+
+# 100 seeded log-uniform c0 in [1e-3, 1e3], the first 20 of them at level
+# 5, and named c0 at which a diagonal summed in edge order rounds D6 images
+# apart
+RANDOM_C0 = 10.0 ** np.random.default_rng(0).uniform(-3.0, 3.0, 100)
+NAMED_C0 = {1: (0.37,), 2: (0.1, 1 / 3), 4: (1e-3,)}
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+def test_d6_holds_at_random_c0(level):
+    # assemble rounds each diagonal entry once from integer edge counts, so
+    # every D6 image of a vertex gets the same bits whatever c0 is
+    mesh = build_mesh(level)
+    draws = RANDOM_C0[:20] if level == 5 else RANDOM_C0
+    for c0 in (*NAMED_C0.get(level, ()), *draws):
+        for kind in KINDS:
+            op = assemble(mesh, kind, c0)
+            assert vertex_permutations(op) is not None, (kind, c0)
+
+
+def test_non_dyadic_c0_keeps_the_blocks(mesh2, mesh4):
+    # c0 * 4**n is not dyadic here, and the solve still runs one block per
+    # irrep row and takes each E pair from one block solve
+    spec = eig_full(assemble(mesh4, "full", 1e-3))
+    tags = np.array(spec.irreps)
+    assert set(spec.irreps) == set(ORDER)
+    for e in ("E1", "E2"):
+        assert np.array_equal(spec.eigenvalues[tags == e],
+                              spec.eigenvalues[tags == e + "'"])
+    low = eig_full(assemble(mesh2, "full", 0.1)).eigenvalues
+    assert low[0] == 0.0 and low[1] == low[2]
 
 
 def test_rows_out_of_lattice_order_get_one_block(op2_full):
