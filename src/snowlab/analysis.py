@@ -344,12 +344,13 @@ class LandscapeVector:
 def landscape(op: OperatorBundle) -> LandscapeVector:
     """u_i = sum_j |L_ij|: inv_m, an exact integer, times the row sum of |S|.
 
-    Summed in column order, that row sum is 4 * the incident conductances,
-    or 12 + 2 * (number of interior neighbours) for the Dirichlet kind.  u
-    is exact where the sums are, as at c0 = 1; elsewhere a value can be 1
-    ulp off landscape_closed_forms (boundary bases, level 1 at c0 = 0.1).
+    A full or boundary row keeps every edge at its vertex, so its entries
+    off the diagonal sum to S_pp, which assemble rounds once: the row sum is
+    2 S_pp, and u equals landscape_closed_forms bit for bit at every c0.  A
+    Dirichlet row, 12 + 2 * (number of interior neighbours), is exact.
     """
-    row_abs = np.asarray(abs(op.S).sum(axis=1)).ravel()
+    row_abs = (np.asarray(abs(op.S).sum(axis=1)).ravel()
+               if op.kind == "dirichlet" else 2.0 * op.S.diagonal())
     return LandscapeVector(kind=op.kind, level=op.level, c0=op.c0,
                            values=op.inv_m * row_abs,
                            vertex_map=op.vertex_map)

@@ -1,13 +1,15 @@
 """Discretely harmonic extension of boundary data and its diagnostics.
 
 The extension of f solves S_II u_I = -S_IB f, so (L u)(p) = 0 at every
-interior vertex p: S_II is the S of the Dirichlet operator, and the
-right-hand side is the interior rows of the full operator's S applied to
-f on the boundary (zero inside).  Edges incident to an interior vertex are
-always interior edges (boundary edges join two boundary vertices), so
-those rows hold the exact integers -2 and 2 * degree whatever the boundary
-coupling c0 is: the extension takes no c0, and the energy bookkeeping
-around it (energy_split) does.
+interior vertex p.  S_II is the S of the Dirichlet operator, the one
+operator the extension assembles.  The right-hand side at p is 2 * the sum
+of f over p's boundary neighbours, read off the mesh edges that join an
+interior and a boundary vertex.  This holds for every c0: boundary edges
+join two boundary vertices, so every edge at an interior vertex is an
+interior edge, of conductance 1, and S_IB holds -2 on each such edge.  The
+extension takes no c0; the energy bookkeeping around it (energy_split)
+does.  Each row adds its terms -2 f(b) in ascending b from +0.0 and then
+negates the sum, as the sparse product -(S_IB f) would.
 
 The interior block is positive definite, so the extension exists and is
 unique, is linear in f, satisfies the discrete maximum principle (each
@@ -177,9 +179,15 @@ def harmonic_extend(mesh: Mesh, f) -> np.ndarray:
     iidx, S_II = inner.vertex_map, inner.S
     if len(iidx) == 0:
         return u
-    # u is zero inside, so the full S applied to u sums, in each interior
-    # row, the columns S_IB f
-    rhs = -(assemble(mesh).S @ u)[iidx]
+    # -S_IB f from the interior-boundary edges: mesh edges are lex-sorted
+    # pairs i < j, so each row's terms come in ascending b; the product
+    # -2 f(b) overflows to inf with no warning, as in a sparse product
+    flags = mesh.boundary_flags[mesh.edges]
+    cross = flags[:, 0] != flags[:, 1]
+    ends, at_bd = mesh.edges[cross], flags[cross]
+    with np.errstate(over="ignore"):
+        coupling = -2.0 * u[ends[at_bd]]
+    rhs = -np.bincount(ends[~at_bd], coupling, mesh.num_vertices)[iidx]
 
     levels, coarsest = _hierarchy(S_II, inner.lattice_points)
     vcycle = partial(_vcycle, levels, splu(coarsest.tocsc()))

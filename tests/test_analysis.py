@@ -377,6 +377,28 @@ def test_landscape_closed_forms(level, c0):
                   == forms["boundary_base"])
 
 
+# 200 seeded log-uniform c0 in [1e-3, 1e3], and named c0 at which a row of
+# |S| summed in column order put boundary bases 1 ulp off the closed form
+LANDSCAPE_C0 = (0.1, 0.3, 1 / 3, 1e-3,
+                *10.0 ** np.random.default_rng(0).uniform(-3.0, 3.0, 200))
+
+
+@pytest.mark.parametrize("level", range(1, 5))
+def test_landscape_closed_forms_at_random_c0(level):
+    # a full row's off-diagonal |S| entries sum to S_pp, which assemble
+    # rounds once, so each value is the closed form's one rounding
+    mesh = build_mesh(level)
+    deg = mesh.degrees()
+    rows = {"interior": ~mesh.boundary_flags,
+            "boundary_tip": mesh.boundary_flags & (deg == 2),
+            "boundary_base": mesh.boundary_flags & (deg == 5)}
+    for c0 in LANDSCAPE_C0:
+        u = landscape(assemble(mesh, "full", c0)).values
+        forms = landscape_closed_forms(level, c0)
+        for name, at in rows.items():
+            assert np.all(u[at] == forms[name]), (name, c0)
+
+
 def test_landscape_dirichlet_dominated(mesh2, op2_dir, op2_full):
     # dropping boundary columns can only shrink interior row sums
     u_full = landscape(op2_full).values[mesh2.interior_vertices]

@@ -205,6 +205,17 @@ def test_landscape_command(capsys, tmp_path):
     assert report["bound_check"]["violations"] == []
 
 
+def test_landscape_command_at_non_dyadic_c0(capsys, tmp_path):
+    # c0 * 4**n is not dyadic: a boundary base still matches its closed form
+    out = tmp_path / "l"
+    code, _, _ = run(capsys, "landscape", "--level", "1", "--c0", "0.1",
+                     "--out", str(out))
+    assert code == 0
+    report = json.loads((out / "landscape_report.json").read_text())
+    assert report["matches_closed_forms"] == {
+        "interior": True, "boundary_tip": True, "boundary_base": True}
+
+
 def test_localize_command(capsys, tmp_path):
     out = tmp_path / "lo"
     code, stdout, _ = run(capsys, "localize", "--level", "1", "--out", str(out))

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -249,14 +250,57 @@ EXTENSION_DIGESTS = {
 }
 
 
+# SHA-256 of harmonic_extend(random_boundary_data(mesh, 3)) on the splu
+# path, recorded while the right-hand side was the full S applied to the
+# data.  Alternating data sums as exact integers in any order; these see the
+# order in which each interior row adds its boundary terms.
+RANDOM_EXTENSION_DIGESTS = {
+    0: "e848dc6cb33f43411bac41b7178ac0c2fae8505777aafdd723a3c6e49bc2fee2",
+    1: "0bb82c517506e31a9aa88a28204e872760a710dba7014bb4f14a11ebdb770a55",
+    2: "804122cc4138366a0e40166c2e88d4195f9b827a507a5b1842f9076fbab1647f",
+    3: "07249019653f69f6a695820d768b25f324e97275a29ff24e87349967609317f1",
+    4: "21d0271cf98eb4707bd1b7f736b02265df5ad6f9c19420e531f82555c2b7db77",
+    5: "9b49bd4da01cb97dc3608953f7827a6fdb4fc07f7e872cb51ad1da41e7d58f8f",
+}
+
+
 @pytest.mark.parametrize("level", sorted(EXTENSION_DIGESTS))
 def test_direct_extension_pinned(level, monkeypatch):
     mesh = build_mesh(level)
     if level == 5:
         monkeypatch.setattr(extension, "DIRECT_SOLVE_LIMIT",
                             mesh.num_interior_vertices)
-    u = harmonic_extend(mesh, alternating_boundary_data(mesh))
-    assert hashlib.sha256(u.tobytes()).hexdigest() == EXTENSION_DIGESTS[level]
+    got = [hashlib.sha256(harmonic_extend(mesh, f).tobytes()).hexdigest()
+           for f in (alternating_boundary_data(mesh),
+                     random_boundary_data(mesh, 3))]
+    assert got == [EXTENSION_DIGESTS[level], RANDOM_EXTENSION_DIGESTS[level]]
+
+
+@pytest.mark.parametrize("level", [3, 5])
+def test_extension_assembles_only_the_dirichlet_kind(level, monkeypatch):
+    # -S_IB f comes from the mesh's interior-boundary edges: the extension
+    # builds no full-kind S and no product with it
+    kinds = []
+
+    def spy(mesh, kind="full", c0=1.0):
+        kinds.append(kind)
+        return assemble(mesh, kind, c0)
+
+    monkeypatch.setattr(extension, "assemble", spy)
+    mesh = build_mesh(level)
+    harmonic_extend(mesh, alternating_boundary_data(mesh))
+    assert kinds == ["dirichlet"]
+
+
+def test_overflowing_coupling_fails_the_residual_check(mesh2):
+    # -2 f overflows to -inf and +inf in rows with both signs, whose sum is
+    # NaN, as in a sparse product S_IB f; the product warns nothing
+    f = np.where(alternating_boundary_data(mesh2).values > 0, 1e308, -1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match=r"^interior solve residual "
+                           r"nan above tolerance$"):
+            harmonic_extend(mesh2, f)
 
 
 # SHA-256 of the CG extensions at one OpenBLAS thread, recorded before the
