@@ -215,10 +215,11 @@ def pair_eigenvectors(specL: Spectrum, specLd: Spectrum, mesh: Mesh,
                       top_k: int = 10) -> list[PairMatch]:
     """Best interior-overlap matches between two spectra's eigenvectors.
 
-    Both sets of eigenvectors are restricted to the mesh's interior
-    vertices and normalized there in the m-inner product; similarity is the
-    absolute value of that inner product.  Returns the top_k entries of the
-    similarity matrix, best first.  The published pairs are identified
+    Both sets of eigenvectors are restricted to the mesh's interior vertices
+    and m-normalized there; similarity is the absolute value of their m-inner
+    product, 0 for a column of m-norm 0 there (divided by inf; none is NaN:
+    every solver pair passes a residual check).  Returns the top_k entries of
+    the similarity matrix, best first.  The published pairs are identified
     visually; this metric is this library's quantitative stand-in.
     """
     if top_k < 1:
@@ -240,14 +241,10 @@ def pair_eigenvectors(specL: Spectrum, specLd: Spectrum, mesh: Mesh,
 
     def m_normalize(X):
         nrm = np.sqrt((m_int[:, None] * X * X).sum(axis=0))
-        safe = np.where(nrm > 0, nrm, 1.0)
-        return X / safe, nrm > 0
+        return X / np.where(nrm > 0, nrm, np.inf)
 
-    An, okA = m_normalize(A)
-    Bn, okB = m_normalize(B)
+    An, Bn = m_normalize(A), m_normalize(B)
     G = np.abs(An.T @ (m_int[:, None] * Bn))
-    G[~okA, :] = 0.0
-    G[:, ~okB] = 0.0
 
     best = np.unravel_index(np.argsort(G.ravel())[::-1][:top_k], G.shape)
     return [PairMatch(

@@ -55,7 +55,7 @@ FUNCTIONS = {
     "product": lambda x, y: x * y,
     "quadratic": lambda x, y: x * x + y * y,
 }
-# the valid values of each choice option, for argparse and for RunConfig
+# the valid values of each choice option, which RunConfig alone checks
 CHOICES = {
     "kind": KINDS,
     "solver": ("dense", "iterative"),
@@ -67,7 +67,8 @@ CHOICES = {
 # the argparse settings of each option a subcommand adds to --level, --c0
 # and --out
 OPTIONS = {
-    **{name: {"choices": valid} for name, valid in CHOICES.items()},
+    **{name: {"metavar": "{" + ",".join(valid) + "}"}
+       for name, valid in CHOICES.items()},
     "k": {"type": int, "help": "number of eigenpairs (iterative; default 6)"},
     "seed": {"type": int},
     "eps": {"type": float},

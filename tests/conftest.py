@@ -133,15 +133,14 @@ def read_json(path):
 
 def read_mesh(path):
     """A mesh.json file as a Mesh: edge tag "b" is boundary, any other
-    interior."""
+    interior.  The file's boundary_vertices list is not read: the Mesh
+    derives its boundary vertices from the boundary edges."""
     data = read_json(path)
-    flags = np.zeros(len(data["vertices"]), dtype=bool)
-    flags[data["boundary_vertices"]] = True
     ends = [edge[:2] for edge in data["edges"]]
     return Mesh(data["level"], np.array(data["vertices"], dtype=np.int64),
                 np.array(data["triangles"], dtype=np.int64),
                 np.array(ends, dtype=np.int64),
-                np.array([edge[2] == "b" for edge in data["edges"]]), flags)
+                np.array([edge[2] == "b" for edge in data["edges"]]))
 
 
 def read_mtx(path):

@@ -297,6 +297,50 @@ def test_pair_eigenvectors_needs_the_same_interior_rows(spec2_full, spec2_dir,
         pair_eigenvectors(spec2_full, short, mesh2)
 
 
+def masked_pairs(specL, specLd, mesh, top_k):
+    """Reference: the pairing with columns of interior m-norm 0 divided by
+    1 and their overlaps masked to 0, as it was first computed."""
+    n = mesh.level
+    m = np.where(mesh.boundary_flags, 1.0 / (4 ** n), 1.0 / (9 ** n))
+    rows = [np.flatnonzero(np.isin(s.vertex_map, mesh.interior_vertices))
+            for s in (specL, specLd)]
+    m_int = m[specL.vertex_map[rows[0]]]
+
+    def m_normalize(X):
+        nrm = np.sqrt((m_int[:, None] * X * X).sum(axis=0))
+        return X / np.where(nrm > 0, nrm, 1.0), nrm > 0
+
+    An, okA = m_normalize(specL.eigenvectors[rows[0], :])
+    Bn, okB = m_normalize(specLd.eigenvectors[rows[1], :])
+    G = np.abs(An.T @ (m_int[:, None] * Bn))
+    G[~okA, :] = 0.0
+    G[:, ~okB] = 0.0
+    best = np.unravel_index(np.argsort(G.ravel())[::-1][:top_k], G.shape)
+    return [(int(a) + 1, int(b) + 1, float(G[a, b])) for a, b in zip(*best)]
+
+
+def test_pair_eigenvectors_vanishing_columns_score_zero(spec2_full, spec2_dir,
+                                                        mesh2):
+    # a full column zeroed inside, a full column whose m * x**2 underflows
+    # there and a Dirichlet column zeroed: each is divided by inf and pairs
+    # with similarity 0, the value the masks of the first pairing wrote
+    interior = np.isin(spec2_full.vertex_map, mesh2.interior_vertices)
+    X = spec2_full.eigenvectors[:, :30].copy()
+    X[interior, 3] = 0.0
+    X[interior, 7] = 1e-170
+    Y = spec2_dir.eigenvectors[:, :15].copy()
+    Y[:, 5] = 0.0
+    full = dataclasses.replace(spec2_full.truncated(30), eigenvectors=X)
+    dirichlet = dataclasses.replace(spec2_dir.truncated(15), eigenvectors=Y)
+    pairs = pair_eigenvectors(full, dirichlet, mesh2, top_k=30 * 15)
+    assert len(pairs) == 30 * 15
+    vanishing = [p for p in pairs if p.j in (4, 8) or p.j_tilde == 6]
+    assert len(vanishing) == 2 * 15 + 30 - 2
+    assert all(p.similarity == 0.0 for p in vanishing)
+    assert [(p.j, p.j_tilde, p.similarity) for p in pairs] == masked_pairs(
+        full, dirichlet, mesh2, 30 * 15)
+
+
 def test_contour_classes():
     phi = np.array([1.0, 0.01, -0.01, 0.0100001, -0.5, 0.0])
     codes = contour_classes(phi, 0.01)

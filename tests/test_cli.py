@@ -106,6 +106,21 @@ def test_config_rejects_unknown_choice(field):
         RunConfig("eig", 1, **{field: "bogus"})
 
 
+@pytest.mark.parametrize(("command", "option"), [
+    (command, option) for command, (_, _, options) in cli._DISPATCH.items()
+    for option in options if option in cli.CHOICES])
+def test_cli_rejects_unknown_choice_once(command, option, capsys, tmp_path):
+    # argparse only shows the valid values; RunConfig's check is the one
+    # that rejects a bad value, before any stage runs
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, command, "--level", "1",
+                            f"--{option}", "x", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == (f"error:usage:{option} must be one of "
+                   f"{cli.CHOICES[option]}, got 'x'\n")
+    assert not out.exists()
+
+
 def test_help_lists_choices(capsys):
     with pytest.raises(SystemExit):
         main(["energy-seq", "--help"])
@@ -611,6 +626,30 @@ def test_run_level1_truncated_windows(capsys, tmp_path):
     assert len(pairs) == 10
     assert all(1 <= p["j"] <= 13 and p["j_tilde"] == 1 for p in pairs)
     assert len(read_csv(out / "eigenvalues_dirichlet.csv")[1]) == 1
+
+
+# SHA-256 of the files `run --level 3` writes itself (its stages are pinned
+# above), recorded with the masked pairing that division by inf replaced;
+# the same at one and two BLAS threads.  metadata.json is left out.
+RUN_DIGESTS = {
+    "eigenvalues_full.csv":
+        "e391c8502f04cff5070002d52b12dcb4a8d5da478ab56dd8988e91f34bc44870",
+    "eigenvalues_dirichlet.csv":
+        "af1dd0712119cde7fceb10a3b3e6b1f0ca55b2c82e35396888cca26e7c4b2862",
+    "pairing.json":
+        "e938ee23af1e02557864482aae4aa9a8400dd791fcba0ba419b7e724834a4c86",
+    "summary.json":
+        "80fe87f6165b3edd4ab8b258a84f8e7570be4bdfcc3cd581ab8ecbd4c5e10fb2",
+}
+
+
+def test_run_files_pinned(capsys, tmp_path):
+    out = tmp_path / "r"
+    code, _, err = run(capsys, "run", "--level", "3", "--out", str(out))
+    assert code == 0, err
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in RUN_DIGESTS}
+    assert got == RUN_DIGESTS
 
 
 def test_run_level0_fails_as_count(capsys, tmp_path):

@@ -119,8 +119,7 @@ def test_validate_rejects_indices_too_wide_for_keys(mesh2):
     t = mesh2.triangles.copy()
     t[0, 2] = 2**32
     bad = Mesh(level=2, vertices=mesh2.vertices, triangles=t,
-               edges=mesh2.edges, edge_is_boundary=mesh2.edge_is_boundary,
-               boundary_flags=mesh2.boundary_flags)
+               edges=mesh2.edges, edge_is_boundary=mesh2.edge_is_boundary)
     with pytest.raises(OverflowError):
         validate(bad)
 
@@ -302,6 +301,28 @@ def test_mesh_arrays_read_only(mesh1):
         mesh1.vertices[0, 0] = 99
 
 
+def test_mesh_derives_boundary_flags(mesh2):
+    # a boundary vertex is an end of a boundary edge: Mesh takes five
+    # arrays and derives the flags from them, on a corrupted edge set too
+    e, eib = mesh2.edges, mesh2.edge_is_boundary
+    mesh = Mesh(2, mesh2.vertices, mesh2.triangles, e, eib)
+    ends = np.zeros(mesh.num_vertices, dtype=bool)
+    ends[e[eib].ravel()] = True
+    assert mesh.boundary_flags.dtype == np.bool_
+    assert np.array_equal(mesh.boundary_flags, ends)
+    with pytest.raises(ValueError):
+        mesh.boundary_flags[0] = not mesh.boundary_flags[0]
+    # one interior edge from an interior vertex i to a boundary vertex j,
+    # flagged as boundary, adds i and nothing else
+    k = next(k for k, (i, j) in enumerate(e.tolist())
+             if not ends[i] and ends[j])
+    i = int(e[k, 0])
+    extra = eib.copy()
+    extra[k] = True
+    bad = Mesh(2, mesh2.vertices, mesh2.triangles, e, extra)
+    assert np.flatnonzero(bad.boundary_flags != ends).tolist() == [i]
+
+
 # SHA-256 of the raw bytes of vertices, triangles, edges, edge_is_boundary and
 # boundary_flags, recorded from the dictionary-based construction that
 # preceded the array code.  Any change to the mesh output shows here.
@@ -366,7 +387,7 @@ def _corrupt(mesh, kind):
     """A copy of `mesh` with one defect, the check it must fail and the
     failure detail that names the corrupted index."""
     v, t, e = mesh.vertices.copy(), mesh.triangles.copy(), mesh.edges.copy()
-    eib, bf = mesh.edge_is_boundary.copy(), mesh.boundary_flags.copy()
+    eib = mesh.edge_is_boundary.copy()
     if kind == "duplicate-vertex":
         v[10] = v[9]
         check, detail = "vertices lex-sorted and unique", "vertices [10]"
@@ -413,20 +434,15 @@ def _corrupt(mesh, kind):
         e, eib = np.insert(e, 21, e[20], axis=0), np.insert(eib, 21, eib[20])
         check = "edges belong to 1 (boundary) or 2 (interior) triangles"
         detail = "boundary [], interior [], missing [21], untracked []"
-    elif kind == "boundary-vertex-flag":
-        w = int(np.flatnonzero(~bf)[3])
-        bf[w] = True
-        check = "boundary flags match boundary edge endpoints"
-        detail = f"vertices [{w}]"
     bad = Mesh(level=mesh.level, vertices=v, triangles=t, edges=e,
-               edge_is_boundary=eib, boundary_flags=bf)
+               edge_is_boundary=eib)
     return bad, check, detail
 
 
 @pytest.mark.parametrize("kind", ["duplicate-vertex", "edge-length-2",
                                   "dropped-triangle", "boundary-edge-flag",
-                                  "boundary-vertex-flag", "index-past-end",
-                                  "negative-index", "repeated-edge"])
+                                  "index-past-end", "negative-index",
+                                  "repeated-edge"])
 def test_validate_detects_corruption(mesh2, kind):
     bad, check, detail = _corrupt(mesh2, kind)
     report = validate(bad)
@@ -585,8 +601,7 @@ def test_boundary_cycle_matches_dict_walk(level):
 def _with_boundary(mesh, edges, edge_is_boundary):
     return Mesh(level=mesh.level, vertices=mesh.vertices,
                 triangles=mesh.triangles, edges=edges,
-                edge_is_boundary=edge_is_boundary,
-                boundary_flags=mesh.boundary_flags)
+                edge_is_boundary=edge_is_boundary)
 
 
 @pytest.mark.parametrize("level", (1, 2, 3))
@@ -615,9 +630,7 @@ def test_boundary_cycle_errors_match_dict_walk(level, defect):
         n = mesh.num_vertices
         v = np.concatenate((mesh.vertices, [(50, 50), (50, 51), (51, 50)]))
         mesh = Mesh(level=mesh.level, vertices=v, triangles=mesh.triangles,
-                    edges=mesh.edges, edge_is_boundary=mesh.edge_is_boundary,
-                    boundary_flags=np.concatenate((mesh.boundary_flags,
-                                                   [True] * 3)))
+                    edges=mesh.edges, edge_is_boundary=mesh.edge_is_boundary)
         e = np.concatenate((e, [(n, n + 1), (n, n + 2), (n + 1, n + 2)]))
         eib = np.concatenate((eib, [True] * 3))
     bad = _with_boundary(mesh, e, eib)
