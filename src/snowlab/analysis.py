@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .lattice import Mesh, boundary_hop_distance
-from .operators import OperatorBundle, _mass_vectors
+from .operators import OperatorBundle
 from .solver import Spectrum, chunk_columns
 
 
@@ -216,28 +216,26 @@ def pair_eigenvectors(specL: Spectrum, specLd: Spectrum, mesh: Mesh,
     """Best interior-overlap matches between two spectra's eigenvectors.
 
     Both sets of eigenvectors are restricted to the mesh's interior vertices
-    and m-normalized there; similarity is the absolute value of their m-inner
-    product, 0 for a column of m-norm 0 there (divided by inf; none is NaN:
-    every solver pair passes a residual check).  Returns the top_k entries of
-    the similarity matrix, best first.  The published pairs are identified
-    visually; this metric is this library's quantitative stand-in.
+    and m-normalized there, in specL.m; similarity is the absolute value of
+    their m-inner product, 0 for a column of m-norm 0 there (divided by inf;
+    none is NaN: every solver pair passes a residual check).  Returns the
+    top_k entries of the similarity matrix, best first.  The published
+    pairs are identified visually; this metric is this library's
+    quantitative stand-in.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     def restrict(spec):
         rows = np.flatnonzero(np.isin(spec.vertex_map, mesh.interior_vertices))
-        verts = spec.vertex_map[rows]
-        return verts, spec.eigenvectors[rows, :]
+        return spec.vertex_map[rows], spec.m[rows], spec.eigenvectors[rows, :]
 
-    vL, A = restrict(specL)
-    vD, B = restrict(specLd)
+    vL, m_int, A = restrict(specL)
+    vD, _, B = restrict(specLd)
     if len(vL) == 0 or len(vD) == 0:
         raise AnalysisError("a spectrum has no interior-vertex rows")
     if not np.array_equal(vL, vD):
         raise AnalysisError(
             "spectra cover different interior vertex sets; cannot pair")
-
-    m_int = _mass_vectors(mesh)[0][vL]
 
     def m_normalize(X):
         nrm = np.sqrt((m_int[:, None] * X * X).sum(axis=0))
@@ -292,7 +290,7 @@ class LocalizationReport:
 
 def localization_report(spec: Spectrum, mesh: Mesh) -> LocalizationReport:
     """Boundary mass fractions and hop-distance mass profiles for every
-    eigenpair of a full-mesh spectrum.
+    eigenpair of a full-mesh spectrum, in its vertex measure spec.m.
 
     Works on a cache-sized chunk of eigenvectors at a time
     (`solver.chunk_columns`), so its temporaries stay small whatever the
@@ -302,7 +300,6 @@ def localization_report(spec: Spectrum, mesh: Mesh) -> LocalizationReport:
     if not np.array_equal(spec.vertex_map, np.arange(mesh.num_vertices)):
         raise AnalysisError("localization needs a spectrum on the full mesh")
 
-    m, _ = _mass_vectors(mesh)
     dist = boundary_hop_distance(mesh)
     k, d = spec.count, spec.dimension
     # shell @ mass adds each column's mass per distance in vertex order,
@@ -315,7 +312,7 @@ def localization_report(spec: Spectrum, mesh: Mesh) -> LocalizationReport:
     for lo in range(0, k, width):
         hi = min(lo + width, k)
         Phi = np.asfortranarray(spec.eigenvectors[:, lo:hi])
-        mass = m[:, None] * Phi * Phi
+        mass = spec.m[:, None] * Phi * Phi
         hist[lo:hi] = (shell @ mass / mass.sum(axis=0)).T
 
     return LocalizationReport(eigenvalues=spec.eigenvalues.copy(),

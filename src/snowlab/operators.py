@@ -80,13 +80,6 @@ def edge_conductances(mesh: Mesh, c0: float = 1.0) -> np.ndarray:
     return c
 
 
-def _mass_vectors(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    n = mesh.level
-    m = np.where(mesh.boundary_flags, 1.0 / (4 ** n), 1.0 / (9 ** n))
-    inv_m = np.where(mesh.boundary_flags, float(4 ** n), float(9 ** n))
-    return m, inv_m
-
-
 def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
     """Assemble the stiffness/mass pair for the requested operator kind.
 
@@ -99,7 +92,9 @@ def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
     renumbered through one position map, and the diagonal and m there.  Mesh
     edges are lex-sorted pairs with i < j and the renumbering ascends, so
     the kept edges stay so; with the entries listed below, on, then above
-    the diagonal, every row leaves the stable CSR conversion sorted.
+    the diagonal, every row leaves the stable CSR conversion sorted.  The
+    vertex measures m, 4**-n on the boundary and 9**-n inside, and their
+    reciprocals inv_m are set from the kind's vertices' boundary flags.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -130,9 +125,11 @@ def assemble(mesh: Mesh, kind: str = "full", c0: float = 1.0) -> OperatorBundle:
         (np.concatenate([off, 2.0 * diag, off]),
          (np.concatenate([j, ids, i]), np.concatenate([i, ids, j]))),
         shape=(n, n)).tocsr()
-    m, inv_m, points = *_mass_vectors(mesh), mesh.vertices
+    flags, points, lev = mesh.boundary_flags, mesh.vertices, mesh.level
     if kind != "full":
-        m, inv_m, points = m[vmap], inv_m[vmap], points[vmap]
+        flags, points = flags[vmap], points[vmap]
+    m = np.where(flags, 1.0 / (4 ** lev), 1.0 / (9 ** lev))
+    inv_m = np.where(flags, float(4 ** lev), float(9 ** lev))
     return OperatorBundle(kind=kind, level=mesh.level, c0=c0, S=S, m=m,
                           inv_m=inv_m, vertex_map=vmap, lattice_points=points)
 
@@ -194,7 +191,8 @@ def energy_sequence(f: Callable[[float, float], float], n_max: int,
     # level n_max first: its mesh guard fails before any smaller mesh exists
     for n in (n_max, *range(n_max)):
         mesh = build_mesh(n)
-        u = [f(x, y) for x, y in cartesian_coordinates(mesh)]
+        xs, ys = cartesian_coordinates(mesh).T
+        u = [f(x, y) for x, y in zip(xs, ys)]
         edges = slice(None) if part == "total" else (
             mesh.edge_is_boundary == (part == "boundary"))
         out += _edge_energies(mesh, u, c0, edges)

@@ -80,10 +80,10 @@ class Spectrum:
 
     eigenvalues ascending with repeats; eigenvectors[:, j] is the j-th
     eigenvector on the operator's vertex set, m-normalized and sign-fixed;
-    residuals[j] = ||S phi - lambda M phi||_inf.  irreps[j] names the
-    symmetry block of pair j (A1, A2, B1, B2, E1, E1', E2, E2', or A for an
-    operator solved without symmetry).  eig_full and eig_partial always
-    set it; None for a spectrum built elsewhere without tags.
+    residuals[j] = ||S phi - lambda M phi||_inf.  m is the operator's
+    vertex measure per row, the one the eigenvectors are normalized in.
+    irreps[j] names the symmetry block of pair j (A1, A2, B1, B2, E1, E1',
+    E2, E2', or A for an operator solved without symmetry).
     """
 
     kind: str
@@ -93,12 +93,13 @@ class Spectrum:
     eigenvectors: np.ndarray  # (d, k)
     residuals: np.ndarray     # (k,)
     vertex_map: np.ndarray    # (d,) mesh vertex index per row
+    m: np.ndarray             # (d,) vertex measure per row
     solver: str
-    irreps: tuple | None = None  # (k,) block tag per pair
+    irreps: tuple             # (k,) block tag per pair
 
     def __post_init__(self):
         for arr in (self.eigenvalues, self.eigenvectors, self.residuals,
-                    self.vertex_map):
+                    self.vertex_map, self.m):
             arr.setflags(write=False)
 
     @property
@@ -118,7 +119,7 @@ class Spectrum:
             eigenvalues=self.eigenvalues[:k].copy(),
             eigenvectors=self.eigenvectors[:, :k].copy(),
             residuals=self.residuals[:k].copy(),
-            irreps=None if self.irreps is None else self.irreps[:k])
+            irreps=self.irreps[:k])
 
 
 def symmetrize(op: OperatorBundle) -> sparse.csr_matrix:
@@ -224,7 +225,7 @@ def _spectrum(op: OperatorBundle, solved: list, window: slice,
                      [len(w) for _, _, w, _ in solved])
     return Spectrum(kind=op.kind, level=op.level, c0=op.c0,
                     eigenvalues=w, eigenvectors=Phi, residuals=residuals,
-                    vertex_map=op.vertex_map, solver=solver,
+                    vertex_map=op.vertex_map, m=op.m, solver=solver,
                     irreps=tuple(tags[order].tolist()))
 
 

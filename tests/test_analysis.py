@@ -34,7 +34,8 @@ def stub(w, kind="full", level=7, complete=True):
     d = n if complete else 1
     return Spectrum(kind=kind, level=level, c0=1.0, eigenvalues=w,
                     eigenvectors=np.zeros((d, n)), residuals=np.zeros(n),
-                    vertex_map=np.arange(d), solver="stub")
+                    vertex_map=np.arange(d), m=np.ones(d), solver="stub",
+                    irreps=("A",) * n)
 
 
 def test_counting_function(spec2_full):

@@ -18,7 +18,6 @@ from snowlab.lattice import LevelGuardError, Mesh, build_mesh
 from snowlab.operators import (
     KINDS,
     OperatorBundle,
-    _mass_vectors,
     apply,
     assemble,
     edge_conductances,
@@ -208,7 +207,9 @@ def reference_interior_blocks(mesh: Mesh) -> tuple[sp.csr_matrix,
 
 def reference_assemble(mesh: Mesh, kind: str, c0: float) -> dict:
     """The arrays of assemble(mesh, kind, c0), one branch per kind."""
-    m, inv_m = _mass_vectors(mesh)
+    n = mesh.level
+    m = np.where(mesh.boundary_flags, 1.0 / 4 ** n, 1.0 / 9 ** n)
+    inv_m = np.where(mesh.boundary_flags, float(4 ** n), float(9 ** n))
     cb = c0 * 4.0 ** mesh.level
     if kind == "boundary":
         vmap = mesh.boundary_vertices
@@ -447,6 +448,14 @@ def test_nonfinite_energy_raises(compute):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="^energies .* not all finite"):
             compute()
+
+
+def test_energy_sequence_passes_numpy_scalars():
+    # f gets np.float64 coordinates, so 1 / x at the vertex on x = 0 is inf,
+    # not ZeroDivisionError, and the energy check rejects it
+    with np.errstate(divide="ignore"):
+        with pytest.raises(NumericalError, match="^energies .* not all finite"):
+            energy_sequence(lambda x, y: 1.0 / x, 1)
 
 
 def test_numerical_error_is_one_class():

@@ -299,7 +299,7 @@ def test_partial_no_convergence_names_block(mesh3, which, monkeypatch):
 
 def _finalize(op: OperatorBundle, w: np.ndarray, Y: np.ndarray,
               solver: str, residual_tol: float,
-              irreps: tuple | None = None, block: int = 256) -> Spectrum:
+              irreps: tuple, block: int = 256) -> Spectrum:
     """Back-transform, normalize, sign-fix, clamp, and check residuals.
 
     Y is scratch owned by the caller: the eigenvectors overwrite it column
@@ -346,7 +346,8 @@ def _finalize(op: OperatorBundle, w: np.ndarray, Y: np.ndarray,
 
     return Spectrum(kind=op.kind, level=op.level, c0=op.c0,
                     eigenvalues=w, eigenvectors=Phi, residuals=residuals,
-                    vertex_map=op.vertex_map, solver=solver, irreps=irreps)
+                    vertex_map=op.vertex_map, m=op.m, solver=solver,
+                    irreps=irreps)
 
 
 def _merge(op: OperatorBundle, solved: list, window: slice, solver: str,
@@ -407,6 +408,19 @@ def spy_on_blocks(monkeypatch):
 ORACLE_CASES = [(level, kind) for level in range(4)
                 for kind in ("full", "dirichlet", "boundary")
                 if (level, kind) != (0, "dirichlet")]
+
+
+@pytest.mark.parametrize("level,kind", ORACLE_CASES)
+def test_spectrum_carries_operator_measure(level, kind):
+    # the measure the eigenvectors are normalized in, which analysis reads
+    op = assemble(build_mesh(level), kind)
+    k = min(4, op.dimension)
+    for spec in (eig_full(op), eig_partial(op, k, "smallest"),
+                 eig_partial(op, k, "largest")):
+        for s in (spec, spec.truncated(1)):
+            assert s.m.dtype == op.m.dtype and s.m.shape == op.m.shape
+            assert s.m.tobytes() == op.m.tobytes()
+            assert not s.m.flags.writeable
 
 
 @pytest.mark.parametrize("columns", (None, 1, 7))
