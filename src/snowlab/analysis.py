@@ -155,9 +155,9 @@ def regime_threshold(specL: Spectrum, specLd: Spectrum) -> RegimeReport:
     """
     if specL.count == 0 or specLd.count == 0:
         raise AnalysisError("empty spectrum")
-    if specL.level != specLd.level:
+    if specL.op.level != specLd.op.level:
         raise AnalysisError(
-            f"level mismatch: {specL.level} vs {specLd.level}")
+            f"level mismatch: {specL.op.level} vs {specLd.op.level}")
     if specL.count != specL.dimension or specLd.count != specLd.dimension:
         raise AnalysisError("regime detection needs complete spectra")
 
@@ -216,9 +216,9 @@ def pair_eigenvectors(specL: Spectrum, specLd: Spectrum, mesh: Mesh,
     """Best interior-overlap matches between two spectra's eigenvectors.
 
     Both sets of eigenvectors are restricted to the mesh's interior vertices
-    and m-normalized there, in specL.m; similarity is the absolute value of
-    their m-inner product, 0 for a column of m-norm 0 there (divided by inf;
-    none is NaN: every solver pair passes a residual check).  Returns the
+    and m-normalized there, in specL.op.m; similarity is the absolute value
+    of their m-inner product, 0 for a column of m-norm 0 there (divided by
+    inf; none is NaN: every solver pair passes a residual check).  Returns the
     top_k entries of the similarity matrix, best first.  The published
     pairs are identified visually; this metric is this library's
     quantitative stand-in.
@@ -226,8 +226,9 @@ def pair_eigenvectors(specL: Spectrum, specLd: Spectrum, mesh: Mesh,
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     def restrict(spec):
-        rows = np.flatnonzero(np.isin(spec.vertex_map, mesh.interior_vertices))
-        return spec.vertex_map[rows], spec.m[rows], spec.eigenvectors[rows, :]
+        vmap = spec.op.vertex_map
+        rows = np.flatnonzero(np.isin(vmap, mesh.interior_vertices))
+        return vmap[rows], spec.op.m[rows], spec.eigenvectors[rows, :]
 
     vL, m_int, A = restrict(specL)
     vD, _, B = restrict(specLd)
@@ -290,14 +291,14 @@ class LocalizationReport:
 
 def localization_report(spec: Spectrum, mesh: Mesh) -> LocalizationReport:
     """Boundary mass fractions and hop-distance mass profiles for every
-    eigenpair of a full-mesh spectrum, in its vertex measure spec.m.
+    eigenpair of a full-mesh spectrum, in its operator's measure spec.op.m.
 
     Works on a cache-sized chunk of eigenvectors at a time
     (`solver.chunk_columns`), so its temporaries stay small whatever the
     spectrum size.  Each column is summed on its own, in column-major
     layout, so the result does not depend on the chunk width.
     """
-    if not np.array_equal(spec.vertex_map, np.arange(mesh.num_vertices)):
+    if not np.array_equal(spec.op.vertex_map, np.arange(mesh.num_vertices)):
         raise AnalysisError("localization needs a spectrum on the full mesh")
 
     dist = boundary_hop_distance(mesh)
@@ -312,7 +313,7 @@ def localization_report(spec: Spectrum, mesh: Mesh) -> LocalizationReport:
     for lo in range(0, k, width):
         hi = min(lo + width, k)
         Phi = np.asfortranarray(spec.eigenvectors[:, lo:hi])
-        mass = spec.m[:, None] * Phi * Phi
+        mass = spec.op.m[:, None] * Phi * Phi
         hist[lo:hi] = (shell @ mass / mass.sum(axis=0)).T
 
     return LocalizationReport(eigenvalues=spec.eigenvalues.copy(),
@@ -321,18 +322,16 @@ def localization_report(spec: Spectrum, mesh: Mesh) -> LocalizationReport:
 
 @dataclass(frozen=True)
 class LandscapeVector:
-    """Absolute row sums of L = M^-1 S, one value per operator vertex;
-    vertex_map[i] is the mesh vertex of values[i]."""
+    """Absolute row sums of L = M^-1 S of the operator op, one value per
+    operator vertex; op.vertex_map[i] is the mesh vertex of values[i].  The
+    vector shares the operator's arrays and keeps the whole operator, S
+    included, alive."""
 
-    kind: str
-    level: int
-    c0: float
+    op: OperatorBundle
     values: np.ndarray
-    vertex_map: np.ndarray
 
     def __post_init__(self):
         self.values.setflags(write=False)
-        self.vertex_map.setflags(write=False)
 
 
 def landscape(op: OperatorBundle) -> LandscapeVector:
@@ -345,9 +344,7 @@ def landscape(op: OperatorBundle) -> LandscapeVector:
     """
     row_abs = (np.asarray(abs(op.S).sum(axis=1)).ravel()
                if op.kind == "dirichlet" else 2.0 * op.S.diagonal())
-    return LandscapeVector(kind=op.kind, level=op.level, c0=op.c0,
-                           values=op.inv_m * row_abs,
-                           vertex_map=op.vertex_map)
+    return LandscapeVector(op=op, values=op.inv_m * row_abs)
 
 
 def landscape_closed_forms(level: int, c0: float = 1.0) -> dict[str, float]:
@@ -400,7 +397,8 @@ def landscape_bound_check(spec: Spectrum, u: LandscapeVector,
     window, not a global eigenvalue index.  Violations are listed by
     operator row, then by pair.
     """
-    if (spec.kind, spec.level, spec.c0) != (u.kind, u.level, u.c0):
+    op, other = spec.op, u.op
+    if (op.kind, op.level, op.c0) != (other.kind, other.level, other.c0):
         raise AnalysisError(
             "spectrum and landscape come from different operators")
     if spec.dimension != len(u.values):
@@ -427,7 +425,7 @@ def landscape_bound_check(spec: Spectrum, u: LandscapeVector,
                           float(bound[r, c])))
     found.sort()  # by row, then pair, whatever the chunk width
     violations = tuple(
-        BoundViolation(pair=j + 1, vertex=int(spec.vertex_map[r]),
+        BoundViolation(pair=j + 1, vertex=int(spec.op.vertex_map[r]),
                        value=value, bound=b)
         for r, j, value, b in found)
     return BoundCheckResult(violations=violations, skipped=skipped)

@@ -219,8 +219,8 @@ def _cmd_eig(cfg: RunConfig, p: Pipeline) -> None:
     out = _outdir(cfg)
     fileio.write_eigenvalues_csv(spec, out / "eigenvalues.csv")
     fileio.write_eigenvectors(spec, out / "eigenvectors.snwv")
-    w = spec.eigenvalues
-    print(f"spectrum kind={spec.kind} level={spec.level} count={spec.count} "
+    w, op = spec.eigenvalues, spec.op
+    print(f"spectrum kind={op.kind} level={op.level} count={spec.count} "
           f"min={float(w[0])!r} max={float(w[-1])!r} solver={spec.solver}")
 
 

@@ -169,7 +169,7 @@ def write_vectors(values: np.ndarray, meta: dict, path: str | Path) -> Path:
 
 
 def write_eigenvectors(spec: Spectrum, path: str | Path) -> Path:
-    meta = {"kind": spec.kind, "level": spec.level, "c0": spec.c0,
+    meta = {"kind": spec.op.kind, "level": spec.op.level, "c0": spec.op.c0,
             "normalization": NORMALIZATION, "sign_rule": SIGN_RULE}
     return write_vectors(spec.eigenvectors, meta, path)
 
@@ -209,7 +209,7 @@ def write_contour_csv(mesh: Mesh, phi: np.ndarray, eps: float,
 
 def write_landscape_csv(vec: LandscapeVector, path: str | Path) -> None:
     """One row per operator vertex, keyed by its 0-based mesh vertex."""
-    _write_table(path, "vertex,value", vec.vertex_map, vec.values)
+    _write_table(path, "vertex,value", vec.op.vertex_map, vec.values)
 
 
 # -- extension -------------------------------------------------------------

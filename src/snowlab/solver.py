@@ -78,28 +78,26 @@ class DenseGuardError(Exception):
 class Spectrum:
     """Ordered eigenpairs of one operator.
 
+    op is the operator solved: its kind, level and c0 name the spectrum,
+    op.vertex_map gives the mesh vertex of each row and op.m the measure
+    the eigenvectors are normalized in.  The spectrum shares the
+    operator's arrays and keeps the whole operator, S included, alive.
     eigenvalues ascending with repeats; eigenvectors[:, j] is the j-th
     eigenvector on the operator's vertex set, m-normalized and sign-fixed;
-    residuals[j] = ||S phi - lambda M phi||_inf.  m is the operator's
-    vertex measure per row, the one the eigenvectors are normalized in.
-    irreps[j] names the symmetry block of pair j (A1, A2, B1, B2, E1, E1',
-    E2, E2', or A for an operator solved without symmetry).
+    residuals[j] = ||S phi - lambda M phi||_inf.  irreps[j] names the
+    symmetry block of pair j (A1, A2, B1, B2, E1, E1', E2, E2', or A for
+    an operator solved without symmetry).
     """
 
-    kind: str
-    level: int
-    c0: float
+    op: OperatorBundle
     eigenvalues: np.ndarray   # (k,)
     eigenvectors: np.ndarray  # (d, k)
     residuals: np.ndarray     # (k,)
-    vertex_map: np.ndarray    # (d,) mesh vertex index per row
-    m: np.ndarray             # (d,) vertex measure per row
     solver: str
     irreps: tuple             # (k,) block tag per pair
 
     def __post_init__(self):
-        for arr in (self.eigenvalues, self.eigenvectors, self.residuals,
-                    self.vertex_map, self.m):
+        for arr in (self.eigenvalues, self.eigenvectors, self.residuals):
             arr.setflags(write=False)
 
     @property
@@ -223,9 +221,8 @@ def _spectrum(op: OperatorBundle, solved: list, window: slice,
 
     tags = np.repeat([tag for tag, _, _, _ in solved],
                      [len(w) for _, _, w, _ in solved])
-    return Spectrum(kind=op.kind, level=op.level, c0=op.c0,
-                    eigenvalues=w, eigenvectors=Phi, residuals=residuals,
-                    vertex_map=op.vertex_map, m=op.m, solver=solver,
+    return Spectrum(op=op, eigenvalues=w, eigenvectors=Phi,
+                    residuals=residuals, solver=solver,
                     irreps=tuple(tags[order].tolist()))
 
 

@@ -168,7 +168,7 @@ def test_criterion_07_multiplicity(capsys, spec4_full, spec4_dir):
     for spec in (spec4_full, spec4_dir):
         for g in multiplicity_groups(spec, rel_tol=1e-6):
             if g.size > 2:
-                exceptions.append((spec.kind, g.start, g.size, round(g.value, 4)))
+                exceptions.append((spec.op.kind, g.start, g.size, round(g.value, 4)))
     ok = not exceptions
     detail = "all eigenvalue groups have size <= 2 at rel_tol 1e-6"
     if exceptions:

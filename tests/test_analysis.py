@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from snowlab.analysis import (
     BURN_IN,
@@ -23,19 +24,22 @@ from snowlab.analysis import (
 )
 from snowlab.analysis import BoundViolation, LandscapeVector, MultiplicityGroup
 from snowlab.lattice import boundary_hop_distance, build_mesh
-from snowlab.operators import assemble
+from snowlab.operators import OperatorBundle, assemble
 from snowlab.solver import Spectrum, eig_full
 
 
 def stub(w, kind="full", level=7, complete=True):
-    """Spectrum carrying only eigenvalues, for analysis-layer tests."""
+    """Spectrum carrying only eigenvalues, for analysis-layer tests, on a
+    minimal operator: identity S, unit measure, rows in vertex order."""
     w = np.asarray(w, dtype=float)
     n = len(w)
     d = n if complete else 1
-    return Spectrum(kind=kind, level=level, c0=1.0, eigenvalues=w,
-                    eigenvectors=np.zeros((d, n)), residuals=np.zeros(n),
-                    vertex_map=np.arange(d), m=np.ones(d), solver="stub",
-                    irreps=("A",) * n)
+    op = OperatorBundle(kind=kind, level=level, c0=1.0,
+                        S=sparse.identity(d, format="csr"), m=np.ones(d),
+                        inv_m=np.ones(d), vertex_map=np.arange(d),
+                        lattice_points=np.zeros((d, 2), dtype=np.int64))
+    return Spectrum(op=op, eigenvalues=w, eigenvectors=np.zeros((d, n)),
+                    residuals=np.zeros(n), solver="stub", irreps=("A",) * n)
 
 
 def test_counting_function(spec2_full):
@@ -290,9 +294,10 @@ def test_pair_eigenvectors_needs_interior_rows(spec2_full, mesh2):
 def test_pair_eigenvectors_needs_the_same_interior_rows(spec2_full, spec2_dir,
                                                         mesh2):
     # one interior row fewer: the overlaps would pair different vertices
-    short = dataclasses.replace(spec2_dir,
-                                eigenvectors=spec2_dir.eigenvectors[1:],
-                                vertex_map=spec2_dir.vertex_map[1:])
+    op = dataclasses.replace(spec2_dir.op,
+                             vertex_map=spec2_dir.op.vertex_map[1:])
+    short = dataclasses.replace(spec2_dir, op=op,
+                                eigenvectors=spec2_dir.eigenvectors[1:])
     with pytest.raises(AnalysisError,
                        match="^spectra cover different interior vertex sets"):
         pair_eigenvectors(spec2_full, short, mesh2)
@@ -303,9 +308,9 @@ def masked_pairs(specL, specLd, mesh, top_k):
     1 and their overlaps masked to 0, as it was first computed."""
     n = mesh.level
     m = np.where(mesh.boundary_flags, 1.0 / (4 ** n), 1.0 / (9 ** n))
-    rows = [np.flatnonzero(np.isin(s.vertex_map, mesh.interior_vertices))
+    rows = [np.flatnonzero(np.isin(s.op.vertex_map, mesh.interior_vertices))
             for s in (specL, specLd)]
-    m_int = m[specL.vertex_map[rows[0]]]
+    m_int = m[specL.op.vertex_map[rows[0]]]
 
     def m_normalize(X):
         nrm = np.sqrt((m_int[:, None] * X * X).sum(axis=0))
@@ -325,7 +330,7 @@ def test_pair_eigenvectors_vanishing_columns_score_zero(spec2_full, spec2_dir,
     # a full column zeroed inside, a full column whose m * x**2 underflows
     # there and a Dirichlet column zeroed: each is divided by inf and pairs
     # with similarity 0, the value the masks of the first pairing wrote
-    interior = np.isin(spec2_full.vertex_map, mesh2.interior_vertices)
+    interior = np.isin(spec2_full.op.vertex_map, mesh2.interior_vertices)
     X = spec2_full.eigenvectors[:, :30].copy()
     X[interior, 3] = 0.0
     X[interior, 7] = 1e-170
@@ -462,8 +467,7 @@ def test_bound_check_clean(spec2_full, op2_full):
 
 def test_bound_check_detects_violations(spec2_full, op2_full):
     u = landscape(op2_full)
-    tiny = LandscapeVector(kind=u.kind, level=u.level, c0=u.c0,
-                           values=u.values / 1000.0, vertex_map=u.vertex_map)
+    tiny = LandscapeVector(op=u.op, values=u.values / 1000.0)
     res = landscape_bound_check(spec2_full, tiny)
     assert not res.ok
     assert len(res.violations) > 0
@@ -479,7 +483,7 @@ def every_pair_bound_check(spec, u, tol=1e-10):
         bound = u.values[:, None] / w[None, :]
     mask = (P > bound + tol) & (w > 0)[None, :]
     return tuple(
-        BoundViolation(pair=int(c) + 1, vertex=int(spec.vertex_map[r]),
+        BoundViolation(pair=int(c) + 1, vertex=int(spec.op.vertex_map[r]),
                        value=float(P[r, c]), bound=float(bound[r, c]))
         for r, c in zip(*np.nonzero(mask)))
 
@@ -489,9 +493,7 @@ def every_pair_bound_check(spec, u, tol=1e-10):
 def test_bound_check_matches_every_pair_scan(level, kind, chunk_width):
     op = assemble(build_mesh(level), kind)
     spec, u = eig_full(op), landscape(op)
-    scaled = [LandscapeVector(kind=u.kind, level=u.level, c0=u.c0,
-                              values=u.values * factor,
-                              vertex_map=u.vertex_map)
+    scaled = [LandscapeVector(op=u.op, values=u.values * factor)
               for factor in (1.0, 0.9, 0.5)]
     want = [every_pair_bound_check(spec, v) for v in scaled]
     assert want[0] == () and len(want[-1]) > 100
@@ -500,11 +502,14 @@ def test_bound_check_matches_every_pair_scan(level, kind, chunk_width):
     assert [landscape_bound_check(spec, v).violations for v in scaled] == want
 
 
-def test_bound_check_validation(spec2_full, op2_dir, op2_full):
-    with pytest.raises(AnalysisError):
-        landscape_bound_check(spec2_full, landscape(op2_dir))
+def test_bound_check_validation(spec2_full, op2_dir, op2_full, mesh2):
+    # another kind, another c0 and another level: each a different operator
+    for op in (op2_dir, assemble(mesh2, "full", 0.5),
+               assemble(build_mesh(1), "full")):
+        with pytest.raises(AnalysisError, match="^spectrum and landscape "
+                           "come from different operators$"):
+            landscape_bound_check(spec2_full, landscape(op))
     u = landscape(op2_full)
-    short = LandscapeVector(u.kind, u.level, u.c0, u.values[:-1],
-                            u.vertex_map[:-1])
+    short = LandscapeVector(u.op, u.values[:-1])
     with pytest.raises(AnalysisError, match="^dimension mismatch: 85 vs 84$"):
         landscape_bound_check(spec2_full, short)

@@ -199,6 +199,14 @@ def test_vectors_round_trip(spec2_full, tmp_path):
     assert np.array_equal(arr, spec2_full.eigenvectors)
     assert meta == {"kind": "full", "level": 2, "c0": 1.0,
                     "normalization": NORMALIZATION, "sign_rule": SIGN_RULE}
+    # kind, level and c0 are the solved operator's, in the documented order
+    spec = solver.eig_full(assemble(build_mesh(1), "boundary", 0.37))
+    fileio.write_eigenvectors(spec, path)
+    arr, meta = read_snwv(path)
+    assert np.array_equal(arr, spec.eigenvectors)
+    assert list(meta.items()) == [
+        ("kind", "boundary"), ("level", 1), ("c0", 0.37),
+        ("normalization", NORMALIZATION), ("sign_rule", SIGN_RULE)]
 
 
 def test_vectors_binary_layout(tmp_path):

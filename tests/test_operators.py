@@ -107,7 +107,7 @@ def test_bundle_and_spectrum_arrays_read_only(spec2_full):
     share across threads; the full kind hands out the mesh's own lattice
     points."""
     arrays = [spec2_full.eigenvalues, spec2_full.eigenvectors,
-              spec2_full.residuals, spec2_full.vertex_map]
+              spec2_full.residuals]
     for level, kind in itertools.product((0, 1, 2), KINDS):
         op = assemble(build_mesh(level), kind)
         arrays += [op.m, op.inv_m, op.vertex_map, op.lattice_points]

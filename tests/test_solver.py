@@ -11,6 +11,7 @@ import scipy.sparse.linalg
 from scipy import sparse
 
 from snowlab import solver
+from snowlab.analysis import landscape
 from snowlab.lattice import build_mesh
 from snowlab.operators import OperatorBundle, assemble
 from snowlab.solver import (
@@ -187,7 +188,7 @@ def test_nonfinite_spectrum_raises():
 def test_truncated(spec2_full):
     t = spec2_full.truncated(5)
     assert t.count == 5
-    assert t.kind == spec2_full.kind
+    assert t.op is spec2_full.op
     assert np.array_equal(t.eigenvalues, spec2_full.eigenvalues[:5])
     assert np.array_equal(t.eigenvectors, spec2_full.eigenvectors[:, :5])
     assert t.dimension == spec2_full.dimension
@@ -344,10 +345,8 @@ def _finalize(op: OperatorBundle, w: np.ndarray, Y: np.ndarray,
             f"{bad.size} residuals above tolerance; first at pair {j}: "
             f"residual {residuals[j]:.3e} > {bound[j]:.3e}")
 
-    return Spectrum(kind=op.kind, level=op.level, c0=op.c0,
-                    eigenvalues=w, eigenvectors=Phi, residuals=residuals,
-                    vertex_map=op.vertex_map, m=op.m, solver=solver,
-                    irreps=irreps)
+    return Spectrum(op=op, eigenvalues=w, eigenvectors=Phi,
+                    residuals=residuals, solver=solver, irreps=irreps)
 
 
 def _merge(op: OperatorBundle, solved: list, window: slice, solver: str,
@@ -412,15 +411,21 @@ ORACLE_CASES = [(level, kind) for level in range(4)
 
 @pytest.mark.parametrize("level,kind", ORACLE_CASES)
 def test_spectrum_carries_operator_measure(level, kind):
-    # the measure the eigenvectors are normalized in, which analysis reads
+    # a result carries the operator it came from, whose measure analysis
+    # reads: no copied kind, level, c0, row map or measure that could
+    # disagree with it
     op = assemble(build_mesh(level), kind)
     k = min(4, op.dimension)
     for spec in (eig_full(op), eig_partial(op, k, "smallest"),
                  eig_partial(op, k, "largest")):
         for s in (spec, spec.truncated(1)):
-            assert s.m.dtype == op.m.dtype and s.m.shape == op.m.shape
-            assert s.m.tobytes() == op.m.tobytes()
-            assert not s.m.flags.writeable
+            assert s.op is op
+            for name in ("kind", "level", "c0", "vertex_map", "m"):
+                assert not hasattr(s, name)
+    u = landscape(op)
+    assert u.op is op
+    for name in ("kind", "level", "c0", "vertex_map"):
+        assert not hasattr(u, name)
 
 
 @pytest.mark.parametrize("columns", (None, 1, 7))
